@@ -539,7 +539,7 @@ func (m *Machine) launch(job *Job) {
 
 	if job.spec.TimeLimit > 0 {
 		// finishJob never blocks on kernel primitives, so wall-limit
-		// enforcement rides the passive dispatch pool instead of paying a
+		// enforcement is a passive timer callback instead of paying a
 		// goroutine per running job.
 		m.sim.AfterFuncPassive(job.spec.TimeLimit, func() {
 			m.finishJob(job, StateFailed, "wall-time limit exceeded")

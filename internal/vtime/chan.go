@@ -34,18 +34,16 @@ const (
 )
 
 type recvWaiter[T any] struct {
-	park  chan struct{}
+	p     *proc
 	val   T
 	state int
-	wid   uint64
 	timer *timerEntry
 }
 
 type sendWaiter[T any] struct {
-	park  chan struct{}
+	p     *proc
 	val   T
 	state int
-	wid   uint64
 }
 
 // Chan is a simulated channel. Operations have Go channel semantics
@@ -91,7 +89,7 @@ func (c *Chan[T]) Send(v T) {
 		if w.timer != nil {
 			s.cancelTimerLocked(w.timer)
 		}
-		s.wakeLocked(w.wid, w.park)
+		s.wakeLocked(w.p)
 		s.mu.Unlock()
 		return
 	}
@@ -100,12 +98,9 @@ func (c *Chan[T]) Send(v T) {
 		s.mu.Unlock()
 		return
 	}
-	sw := &sendWaiter[T]{park: make(chan struct{}, 1), val: v}
-	sw.wid = s.addWaitLocked(waitSend, c.name, 0)
+	sw := &sendWaiter[T]{p: s.cur, val: v}
 	c.sendq = append(c.sendq, sw)
-	s.blockLocked()
-	s.mu.Unlock()
-	<-sw.park
+	s.blockLocked(waitSend, c.name, 0)
 	if sw.state == wsClosed {
 		panic("vtime: send on closed channel " + c.name)
 	}
@@ -126,7 +121,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 		if w.timer != nil {
 			s.cancelTimerLocked(w.timer)
 		}
-		s.wakeLocked(w.wid, w.park)
+		s.wakeLocked(w.p)
 		return true
 	}
 	if len(c.buf) < c.cap {
@@ -166,7 +161,7 @@ func (c *Chan[T]) recv(d time.Duration) (v T, res RecvResult) {
 		if w := c.popSendLocked(); w != nil {
 			c.buf = append(c.buf, w.val)
 			w.state = wsDelivered
-			s.wakeLocked(w.wid, w.park)
+			s.wakeLocked(w.p)
 		}
 		s.mu.Unlock()
 		return v, RecvOK
@@ -175,7 +170,7 @@ func (c *Chan[T]) recv(d time.Duration) (v T, res RecvResult) {
 		// Unbuffered rendezvous: take the value directly from the sender.
 		v = w.val
 		w.state = wsDelivered
-		s.wakeLocked(w.wid, w.park)
+		s.wakeLocked(w.p)
 		s.mu.Unlock()
 		return v, RecvOK
 	}
@@ -187,21 +182,18 @@ func (c *Chan[T]) recv(d time.Duration) (v T, res RecvResult) {
 		s.mu.Unlock()
 		return v, RecvTimedOut
 	}
-	rw := &recvWaiter[T]{park: make(chan struct{}, 1)}
-	rw.wid = s.addWaitLocked(waitRecv, c.name, 0)
+	rw := &recvWaiter[T]{p: s.cur}
 	if d > 0 {
 		rw.timer = s.pushTimerLocked(s.now+d, func() {
 			if rw.state != wsWaiting {
 				return
 			}
 			rw.state = wsTimedOut
-			s.wakeLocked(rw.wid, rw.park)
+			s.wakeLocked(rw.p)
 		})
 	}
 	c.recvq = append(c.recvq, rw)
-	s.blockLocked()
-	s.mu.Unlock()
-	<-rw.park
+	s.blockLocked(waitRecv, c.name, 0)
 	switch rw.state {
 	case wsDelivered:
 		return rw.val, RecvOK
@@ -237,7 +229,7 @@ func (c *Chan[T]) Close() {
 		if w.timer != nil {
 			s.cancelTimerLocked(w.timer)
 		}
-		s.wakeLocked(w.wid, w.park)
+		s.wakeLocked(w.p)
 	}
 	c.recvq = nil
 	for _, w := range c.sendq {
@@ -245,7 +237,7 @@ func (c *Chan[T]) Close() {
 			continue
 		}
 		w.state = wsClosed
-		s.wakeLocked(w.wid, w.park)
+		s.wakeLocked(w.p)
 	}
 	c.sendq = nil
 	s.mu.Unlock()

@@ -20,9 +20,16 @@
 // Execution is serialized: the kernel grants a run token to one process at
 // a time, in FIFO wake order, so two processes woken at the same virtual
 // instant never race — the same seed replays the same interleaving even
-// under the race detector. Parked goroutines resume only when granted the
-// token, and passive timer batches hold it until their last callback
-// returns.
+// under the race detector. Each process has one kernel-owned record that
+// holds its grant channel and describes its current wait; parked
+// goroutines resume only when granted the token. Passive timer callbacks
+// ([Sim.AfterFuncPassive]) have no goroutine of their own: they run in
+// batches on the goroutine whose block or exit let the clock advance,
+// which holds the token until the batch's last callback returns.
+//
+// The clock does not move before [Sim.Wait] is called, so processes
+// spawned from the test goroutine one after another all start at t=0
+// however the Go scheduler interleaves them.
 //
 // Processes may use plain sync.Mutex for instantaneous critical sections,
 // but must never block on ordinary Go channels or hold a mutex across a
@@ -83,13 +90,6 @@ type Config struct {
 	Seed int64
 	// Engine selects the timer queue implementation (default EngineWheel).
 	Engine TimerEngine
-	// PassiveWorkers bounds the worker pool that executes passive timer
-	// callbacks (see AfterFuncPassive). 0 means 1: batches execute
-	// sequentially in (when, seq) order, which preserves byte-for-byte run
-	// determinism. Values > 1 run same-instant callbacks concurrently —
-	// a multicore throughput option that forfeits determinism unless the
-	// callbacks commute.
-	PassiveWorkers int
 }
 
 // Sim is a discrete-event simulation kernel. Create one with New, NewSeeded
@@ -101,25 +101,29 @@ type Sim struct {
 	runnable  int    // processes ready to run: the token holder, the run queue, an in-flight passive batch
 	alive     int    // non-daemon processes that have not exited
 	started   bool   // at least one non-daemon process was spawned
+	waited    bool   // Wait was called: setup is over and the clock may move
 	completed bool   // all non-daemon processes exited, or deadlock detected
 
 	// Deterministic cooperative scheduling: at most one simulated process
 	// executes at a time, selected in FIFO wake order. running marks the
-	// run token as held; runq holds the grant channels of processes that
-	// are ready but waiting their turn (runqHead is the pop index, reset
-	// when the queue drains). Without this serialization two processes
-	// woken at the same virtual instant race, and the winner — hence the
-	// entire downstream run — is decided by the Go scheduler instead of
-	// the seed.
+	// run token as held and cur is its holder (nil while a passive batch
+	// holds it); runq holds the processes that are ready but waiting their
+	// turn (runqHead is the pop index, reset when the queue drains).
+	// Without this serialization two processes woken at the same virtual
+	// instant race, and the winner — hence the entire downstream run — is
+	// decided by the Go scheduler instead of the seed.
 	running  bool
-	runq     []chan struct{}
+	cur      *proc
+	runq     []*proc
 	runqHead int
+
+	live     *proc  // every process that has not exited, for deadlock reports
+	blockSeq uint64 // numbers blocks so deadlock reports list them in order
 
 	timers     timerQueue
 	liveTimers int // pending timers that are neither cancelled nor fired
 	engine     TimerEngine
 
-	waits    waitRegistry
 	done     chan struct{}
 	deadlock *DeadlockError
 
@@ -136,7 +140,6 @@ type Sim struct {
 	batchWhen   time.Duration // virtual instant of the open dispatch batch
 	batchCount  int64         // timers dispatched at batchWhen so far
 
-	pool       passivePool
 	passiveBuf []*timerEntry // reusable batch buffer (one batch in flight at a time)
 }
 
@@ -220,7 +223,6 @@ func NewWithConfig(cfg Config) *Sim {
 	default:
 		s.timers = newTimerWheel()
 	}
-	s.pool.init(s, cfg.PassiveWorkers)
 	return s
 }
 
@@ -248,54 +250,55 @@ func (s *Sim) GoDaemon(name string, fn func()) { s.spawn(name, fn, true) }
 
 func (s *Sim) spawn(name string, fn func(), daemon bool) {
 	s.mu.Lock()
-	if s.completed {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if !s.completed {
+		s.spawnLocked(fn, daemon)
 	}
+}
+
+// spawnLocked starts fn as a process and queues it for the run token. Must
+// be called with s.mu held.
+func (s *Sim) spawnLocked(fn func(), daemon bool) {
 	s.runnable++
 	if !daemon {
 		s.alive++
 		s.started = true
 	}
-	start := make(chan struct{}, 1)
-	s.readyLocked(start)
-	s.mu.Unlock()
+	p := s.newProcLocked()
+	s.readyLocked(p)
 	go func() {
-		<-start
-		defer s.procExit(daemon)
+		<-p.grant
+		defer s.procExit(p, daemon)
 		fn()
 	}()
 }
 
-func (s *Sim) procExit(daemon bool) {
+func (s *Sim) procExit(p *proc, daemon bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.unlinkLocked(p)
 	s.runnable--
 	s.yieldLocked()
 	if !daemon {
 		s.alive--
-		if s.alive == 0 && !s.completed {
-			s.flushBatchLocked()
-			s.completed = true
-			close(s.done)
-			return
-		}
 	}
-	if s.runnable == 0 && !s.completed {
-		s.advanceLocked()
-	}
+	s.releaseLocked()
 }
 
 // Wait blocks the calling (real) goroutine until the simulation completes:
 // every non-daemon process has exited, or a deadlock was detected. It
 // returns the *DeadlockError in the latter case. At least one non-daemon
-// process must have been spawned before calling Wait.
+// process must have been spawned before calling Wait. Wait ends setup:
+// until it is called the clock stays put and the simulation cannot
+// complete, so processes spawned one after another all start at t=0.
 func (s *Sim) Wait() error {
 	s.mu.Lock()
 	if !s.started {
 		s.mu.Unlock()
 		panic("vtime: Wait called before any process was spawned")
 	}
+	s.waited = true
+	s.releaseLocked()
 	s.mu.Unlock()
 	<-s.done
 	s.mu.Lock()
@@ -316,34 +319,18 @@ func (s *Sim) Run(name string, fn func()) error {
 // Sleep suspends the calling process for d of virtual time. A non-positive
 // d returns immediately.
 func (s *Sim) Sleep(d time.Duration) {
-	// The wait registration happens before the kernel lock: the caller is
-	// runnable, so the clock is frozen and the lock-free Now() is exact.
-	// This keeps registry writes (a sharded map) off the kernel hot path.
-	var wid uint64
-	var park chan struct{}
-	if d > 0 {
-		now := s.Now()
-		wid = s.waits.add(waitSleep, "", now+d, now)
-		park = make(chan struct{}, 1)
-	}
 	s.mu.Lock()
 	if s.completed {
 		s.mu.Unlock()
-		if d > 0 {
-			s.waits.drop(wid)
-		}
 		parkForever()
 	}
 	if d <= 0 {
 		s.mu.Unlock()
 		return
 	}
-	s.pushTimerLocked(s.now+d, func() {
-		s.wakeLocked(wid, park)
-	})
-	s.blockLocked()
-	s.mu.Unlock()
-	<-park
+	p := s.cur
+	s.pushTimerLocked(s.now+d, func() { s.wakeLocked(p) })
+	s.blockLocked(waitSleep, "", s.now+d)
 }
 
 // SleepUntil suspends the calling process until virtual time t. If t is not
@@ -389,27 +376,22 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) *Timer {
 	defer s.mu.Unlock()
 	entry := s.pushTimerLocked(s.now+d, func() {
 		// Runs under s.mu from advanceLocked: spawn without re-locking.
-		s.runnable++
-		start := make(chan struct{}, 1)
-		s.readyLocked(start)
-		go func() {
-			<-start
-			defer s.procExit(true)
-			fn()
-		}()
+		s.spawnLocked(fn, true)
 	})
 	return &Timer{s: s, t: entry}
 }
 
-// AfterFuncPassive schedules fn to run after d of virtual time on the
-// kernel's bounded passive-dispatch worker pool instead of a dedicated
-// goroutine. Same-instant passive callbacks are batched onto the pool,
-// which makes passive timers dramatically cheaper at scale.
+// AfterFuncPassive schedules fn to run after d of virtual time without a
+// process of its own. Same-instant passive callbacks run in batches, in
+// (when, seq) order, on the goroutine whose block or exit let the clock
+// advance; the batch holds the run token, so processes its callbacks wake
+// start only after it. This makes passive timers dramatically cheaper at
+// scale.
 //
 // fn MUST NOT block on kernel primitives (Sleep, Chan Send/Recv, WaitGroup
-// or Event waits): a blocked passive callback corrupts runnable accounting.
-// Non-blocking kernel calls (TrySend, TryRecv, Set, Go, GoDaemon,
-// AfterFunc) are allowed. Use AfterFunc for callbacks that may block.
+// or Event waits): a passive callback that blocks panics. Non-blocking
+// kernel calls (TrySend, TryRecv, Set, Go, GoDaemon, AfterFunc) are
+// allowed. Use AfterFunc for callbacks that may block.
 func (s *Sim) AfterFuncPassive(d time.Duration, fn func()) *Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -451,30 +433,42 @@ func (s *Sim) RandExp() float64 {
 
 // --- kernel internals ---
 
-// blockLocked marks the calling process blocked. Must be called with s.mu
-// held; the caller must subsequently release s.mu and park on its wake
-// channel.
-func (s *Sim) blockLocked() {
-	s.runnable--
-	s.yieldLocked()
-	if s.runnable == 0 && !s.completed {
-		s.advanceLocked()
+// releaseLocked runs after the caller gave up the run token by blocking or
+// exiting. Once setup is over it completes the simulation when the last
+// non-daemon process has exited, and otherwise, while nothing is runnable,
+// advances the clock; passive batches that come due run here, on the
+// calling goroutine. Must be called with s.mu held; s.mu is released while
+// a batch runs.
+func (s *Sim) releaseLocked() {
+	for s.waited && !s.completed {
+		if s.alive == 0 {
+			s.flushBatchLocked()
+			s.completed = true
+			close(s.done)
+			return
+		}
+		if s.runnable > 0 {
+			return
+		}
+		if batch := s.advanceLocked(); batch != nil {
+			s.runBatchLocked(batch)
+		}
 	}
 }
 
-// readyLocked makes a process runnable: its grant channel is signalled
-// immediately if the run token is free, otherwise queued FIFO behind the
-// current holder. The grant channel is the process's park channel — a
-// parked process resumes only when it is actually its turn, which is what
-// makes wake order (and therefore the whole run) deterministic. Must be
-// called with s.mu held.
-func (s *Sim) readyLocked(grant chan struct{}) {
+// readyLocked makes a process runnable: it is granted the run token
+// immediately if the token is free, otherwise queued FIFO behind the
+// current holder. A parked process resumes only when it is actually its
+// turn, which is what makes wake order (and therefore the whole run)
+// deterministic. Must be called with s.mu held.
+func (s *Sim) readyLocked(p *proc) {
 	if s.running {
-		s.runq = append(s.runq, grant)
+		s.runq = append(s.runq, p)
 		return
 	}
 	s.running = true
-	grant <- struct{}{}
+	s.cur = p
+	p.grant <- struct{}{}
 }
 
 // yieldLocked releases the run token and hands it to the next queued
@@ -489,25 +483,12 @@ func (s *Sim) yieldLocked() {
 			s.runq = s.runq[:0]
 			s.runqHead = 0
 		}
-		next <- struct{}{}
+		s.cur = next
+		next.grant <- struct{}{}
 		return
 	}
 	s.running = false
-}
-
-// wakeLocked makes one blocked process runnable and queues its parker for
-// the run token. Must be called with s.mu held.
-func (s *Sim) wakeLocked(wid uint64, park chan struct{}) {
-	s.waits.drop(wid)
-	s.runnable++
-	s.readyLocked(park)
-}
-
-// addWaitLocked registers a blocked-process record for deadlock reports.
-// Must be called with s.mu held (callers that can register before locking,
-// like Sleep, use s.waits.add directly).
-func (s *Sim) addWaitLocked(kind waitKind, name string, deadline time.Duration) uint64 {
-	return s.waits.add(kind, name, deadline, s.now)
+	s.cur = nil
 }
 
 // pushTimerLocked schedules fn at virtual time when. Must be called with
@@ -534,19 +515,14 @@ func (s *Sim) cancelTimerLocked(entry *timerEntry) bool {
 }
 
 // advanceLocked advances virtual time while no process is runnable, firing
-// timers in (time, insertion) order. Must be called with s.mu held and
-// s.runnable == 0.
-func (s *Sim) advanceLocked() {
-	if s.alive == 0 {
-		// No non-daemon process exists yet: the simulation has not
-		// started. Daemons (servers) parking before the first Go call is
-		// idle setup, not deadlock, and the clock stays at zero.
-		return
-	}
+// timers in (time, insertion) order. It returns early with the batch of a
+// due passive timer, which the caller must run (see runBatchLocked). Must
+// be called with s.mu held and s.runnable == 0.
+func (s *Sim) advanceLocked() []*timerEntry {
 	for s.runnable == 0 && !s.completed {
 		if s.liveTimers == 0 {
 			s.reportDeadlockLocked()
-			return
+			return nil
 		}
 		entry := s.timers.pop()
 		if entry == nil {
@@ -567,43 +543,44 @@ func (s *Sim) advanceLocked() {
 		}
 		s.batchWhen = s.now
 		if entry.passive {
-			s.dispatchPassiveLocked(entry)
-			return
+			return s.collectPassiveLocked(entry)
 		}
 		s.fireLocked(entry)
 	}
+	return nil
 }
 
 // fireLocked dispatches one timer inline under the kernel lock.
 func (s *Sim) fireLocked(entry *timerEntry) {
-	entry.fired = true
+	s.markFiredLocked(entry)
+	entry.fn()
+}
+
+// markFiredLocked does a firing timer's accounting. Must be called with
+// s.mu held.
+func (s *Sim) markFiredLocked(e *timerEntry) {
+	e.fired = true
 	s.liveTimers--
 	s.batchCount++
 	s.timersFired.Add(1)
 	if s.stats.TimerLead != nil {
-		s.stats.TimerLead.Record(int64(entry.when - entry.born))
+		s.stats.TimerLead.Record(int64(e.when - e.born))
 	}
-	entry.fn()
 }
 
-// dispatchPassiveLocked collects first plus every consecutive same-instant
-// passive timer (up to maxPassiveBatch) and hands the batch to the worker
-// pool. The batch counts as one runnable unit until the last callback
+// maxPassiveBatch bounds how many same-instant passive callbacks run as one
+// batch. Processes a batch wakes run before the next batch at the same
+// instant, so changing it reorders them against the remaining callbacks.
+const maxPassiveBatch = 256
+
+// collectPassiveLocked collects first plus every consecutive same-instant
+// passive timer (up to maxPassiveBatch) into a batch that takes the run
+// token. The batch counts as one runnable unit until its last callback
 // completes, so the clock cannot move past it. Must be called with s.mu
 // held.
-func (s *Sim) dispatchPassiveLocked(first *timerEntry) {
-	batch := s.passiveBuf[:0]
-	mark := func(e *timerEntry) {
-		e.fired = true
-		s.liveTimers--
-		s.batchCount++
-		s.timersFired.Add(1)
-		if s.stats.TimerLead != nil {
-			s.stats.TimerLead.Record(int64(e.when - e.born))
-		}
-		batch = append(batch, e)
-	}
-	mark(first)
+func (s *Sim) collectPassiveLocked(first *timerEntry) []*timerEntry {
+	s.markFiredLocked(first)
+	batch := append(s.passiveBuf[:0], first)
 	for len(batch) < maxPassiveBatch {
 		next := s.timers.peek()
 		if next == nil || next.when != s.now {
@@ -617,28 +594,29 @@ func (s *Sim) dispatchPassiveLocked(first *timerEntry) {
 			break
 		}
 		s.timers.pop()
-		mark(next)
+		s.markFiredLocked(next)
+		batch = append(batch, next)
 	}
 	s.passiveBuf = batch
 	s.runnable++
 	// The batch holds the run token while in flight: processes its
 	// callbacks wake queue behind it and start, in FIFO order, only after
-	// batchFinished — otherwise a woken process would race the remaining
-	// callbacks.
+	// its last callback — otherwise a woken process would race the
+	// remaining callbacks.
 	s.running = true
-	s.pool.dispatch(batch)
+	return batch
 }
 
-// batchFinished is called by the worker pool when the last callback of a
-// passive batch has returned.
-func (s *Sim) batchFinished() {
+// runBatchLocked runs a passive batch's callbacks in order without s.mu,
+// then hands the run token on. Must be called with s.mu held.
+func (s *Sim) runBatchLocked(batch []*timerEntry) {
+	s.mu.Unlock()
+	for _, e := range batch {
+		e.fn()
+	}
 	s.mu.Lock()
 	s.runnable--
 	s.yieldLocked()
-	if s.runnable == 0 && !s.completed {
-		s.advanceLocked()
-	}
-	s.mu.Unlock()
 }
 
 // flushBatchLocked records and resets the open dispatch batch. Must be
@@ -652,12 +630,7 @@ func (s *Sim) flushBatchLocked() {
 
 func (s *Sim) reportDeadlockLocked() {
 	s.flushBatchLocked()
-	infos := s.waits.snapshot()
-	blocked := make([]string, len(infos))
-	for i, w := range infos {
-		blocked[i] = w.describe()
-	}
-	s.deadlock = &DeadlockError{Now: s.now, Blocked: blocked}
+	s.deadlock = &DeadlockError{Now: s.now, Blocked: s.blockedLocked()}
 	s.completed = true
 	close(s.done)
 }
@@ -674,7 +647,7 @@ type timerEntry struct {
 	when      time.Duration
 	born      time.Duration // clock value when the timer was scheduled
 	seq       uint64
-	fn        func() // under s.mu unless passive; on a pool worker if passive
+	fn        func() // under s.mu unless passive; passive ones run without it
 	passive   bool
 	cancelled bool
 	fired     bool

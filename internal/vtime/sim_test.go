@@ -1,6 +1,11 @@
 package vtime
 
 import (
+	"context"
+	"os"
+	"os/exec"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -168,19 +173,107 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestDeadlockReportsMultipleWaiters pins the exact report strings, in
+// block order, for every wait kind that can deadlock: DST kernel
+// violations embed them, so a change to their bytes or order is an output
+// change.
 func TestDeadlockReportsMultipleWaiters(t *testing.T) {
 	s := New()
 	a := NewChan[int](s, "chan-a", 0)
 	b := NewChan[int](s, "chan-b", 0)
-	s.Go("p1", func() { a.Recv() })
-	s.Go("p2", func() { b.Recv() })
+	wg := NewWaitGroup(s)
+	wg.Add(1)
+	ev := NewEvent(s, "ev")
+	// Each process sleeps a different time first, so the block order and
+	// the "since" stamps are fixed.
+	s.Go("event", func() { s.Sleep(4 * time.Second); ev.Wait() })
+	s.Go("recv", func() { s.Sleep(time.Second); a.Recv() })
+	s.GoDaemon("send", func() { s.Sleep(2 * time.Second); b.Send(1) })
+	s.Go("wg", func() { s.Sleep(3 * time.Second); wg.Wait() })
 	err := s.Wait()
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("Wait error = %v, want *DeadlockError", err)
 	}
-	if len(de.Blocked) != 2 {
-		t.Fatalf("blocked = %v, want 2 entries", de.Blocked)
+	want := []string{
+		"recv on chan-a (since t=1s)",
+		"send on chan-b (since t=2s)",
+		"waitgroup wait (since t=3s)",
+		"event ev (since t=4s)",
+	}
+	if de.Now != 4*time.Second || !reflect.DeepEqual(de.Blocked, want) {
+		t.Fatalf("deadlock at t=%v blocked %q, want t=4s blocked %q", de.Now, de.Blocked, want)
+	}
+	if got := de.Error(); got != "vtime: deadlock at t=4s: 4 blocked: [recv on chan-a (since t=1s); send on chan-b (since t=2s); waitgroup wait (since t=3s); event ev (since t=4s)]" {
+		t.Fatalf("Error() = %q", got)
+	}
+}
+
+// TestClockWaitsForWait is the setup-race regression: a process spawned
+// from the test goroutine may block before the next one is spawned. The
+// kernel must neither declare a deadlock nor advance the clock until Wait
+// ends setup.
+func TestClockWaitsForWait(t *testing.T) {
+	s := New()
+	ch := NewChan[int](s, "rv", 0)
+	var got int
+	s.Go("receiver", func() { got, _ = ch.Recv() })
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		parked := s.runnable == 0
+		s.mu.Unlock()
+		if parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("receiver never parked")
+		}
+		runtime.Gosched()
+	}
+	var at time.Duration
+	s.Go("sender", func() {
+		s.Sleep(time.Second)
+		ch.Send(7)
+		at = s.Now()
+	})
+	if err := s.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got != 7 || at != time.Second {
+		t.Fatalf("received %d, sent at %v; want 7 at 1s", got, at)
+	}
+}
+
+// TestPassiveCallbackBlockPanics checks that a passive callback that
+// blocks on a kernel primitive crashes with a clear message instead of
+// silently corrupting runnable accounting. The crash is observed in a
+// child process: the test binary re-executes itself with
+// VTIME_PASSIVE_BLOCK_CHILD set.
+func TestPassiveCallbackBlockPanics(t *testing.T) {
+	if os.Getenv("VTIME_PASSIVE_BLOCK_CHILD") == "1" {
+		s := New()
+		s.AfterFuncPassive(time.Second, func() { s.Sleep(time.Second) })
+		_ = s.Run("main", func() { s.Sleep(5 * time.Second) })
+		// The panicking goroutine may still be unwinding; give it time to
+		// crash the process before the test returns cleanly.
+		time.Sleep(2 * time.Second)
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestPassiveCallbackBlockPanics$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "VTIME_PASSIVE_BLOCK_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("child hung instead of crashing; output:\n%s", out)
+	}
+	if err == nil {
+		t.Fatalf("child exited cleanly; want a crash. output:\n%s", out)
+	}
+	const msg = "vtime: passive timer callback blocked on a kernel primitive"
+	if !strings.Contains(string(out), msg) {
+		t.Fatalf("child output lacks %q:\n%s", msg, out)
 	}
 }
 

@@ -11,9 +11,8 @@ type WaitGroup struct {
 }
 
 type wgWaiter struct {
-	park  chan struct{}
+	p     *proc
 	state int
-	wid   uint64
 	timer *timerEntry
 }
 
@@ -74,21 +73,18 @@ func (wg *WaitGroup) wait(d time.Duration) bool {
 		s.mu.Unlock()
 		return false
 	}
-	w := &wgWaiter{park: make(chan struct{}, 1)}
-	w.wid = s.addWaitLocked(waitWaitGroup, "", 0)
+	w := &wgWaiter{p: s.cur}
 	if d > 0 {
 		w.timer = s.pushTimerLocked(s.now+d, func() {
 			if w.state != wsWaiting {
 				return
 			}
 			w.state = wsTimedOut
-			s.wakeLocked(w.wid, w.park)
+			s.wakeLocked(w.p)
 		})
 	}
 	wg.waiters = append(wg.waiters, w)
-	s.blockLocked()
-	s.mu.Unlock()
-	<-w.park
+	s.blockLocked(waitWaitGroup, "", 0)
 	return w.state == wsDelivered
 }
 
@@ -101,7 +97,7 @@ func (wg *WaitGroup) releaseLocked() {
 		if w.timer != nil {
 			wg.s.cancelTimerLocked(w.timer)
 		}
-		wg.s.wakeLocked(w.wid, w.park)
+		wg.s.wakeLocked(w.p)
 	}
 	wg.waiters = nil
 }
@@ -137,7 +133,7 @@ func (e *Event) Set() {
 		if w.timer != nil {
 			s.cancelTimerLocked(w.timer)
 		}
-		s.wakeLocked(w.wid, w.park)
+		s.wakeLocked(w.p)
 	}
 	e.waiters = nil
 }
@@ -176,20 +172,17 @@ func (e *Event) wait(d time.Duration) bool {
 		s.mu.Unlock()
 		return false
 	}
-	w := &wgWaiter{park: make(chan struct{}, 1)}
-	w.wid = s.addWaitLocked(waitEvent, e.name, 0)
+	w := &wgWaiter{p: s.cur}
 	if d > 0 {
 		w.timer = s.pushTimerLocked(s.now+d, func() {
 			if w.state != wsWaiting {
 				return
 			}
 			w.state = wsTimedOut
-			s.wakeLocked(w.wid, w.park)
+			s.wakeLocked(w.p)
 		})
 	}
 	e.waiters = append(e.waiters, w)
-	s.blockLocked()
-	s.mu.Unlock()
-	<-w.park
+	s.blockLocked(waitEvent, e.name, 0)
 	return w.state == wsDelivered
 }

@@ -27,6 +27,11 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# perfbench is its own module (the repo benchmark), so the root ./...
+# never builds it; an internal API change could break it unnoticed.
+echo "== perfbench module: go vet + go test"
+(cd perfbench && go vet ./... && go test $short ./...)
+
 echo "== go test -shuffle=on $short ./..."
 go test -shuffle=on $short ./...
 
