@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check quick vet build test race bench-smoke chaos-smoke trace-smoke dst-smoke fed-smoke wire-smoke slo-smoke scale-smoke cover bench-snapshot bench-check
+.PHONY: check quick vet build test race smoke trace-smoke dst-smoke cover bench-snapshot bench-check
 
 # The full verification gate (vet, build, test, race test).
 check:
@@ -22,15 +22,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# A seconds-scale broker load study on the tiny seed configuration —
-# a fast end-to-end smoke of the broker service and its reporting.
-bench-smoke:
-	$(GO) run ./cmd/benchgrid -fig none -app broker -smoke
-
-# A seconds-scale chaos study: faults injected mid-run, exits non-zero
-# if any allocation leaks or a recorded orphan is never reaped.
-chaos-smoke:
-	$(GO) run ./cmd/benchgrid -fig none -app chaos -smoke
+# Every study with a smoke size (B1 broker, B2 chaos, B6 federation, B3
+# wire, B7 SLO, B4 scale) at seconds scale, each through its acceptance
+# gate; exits non-zero if any gate fails. experiments.Studies lists the
+# studies, their smoke sizes and their gates.
+smoke:
+	$(GO) run ./cmd/benchgrid -smoke
 
 # Runs the causal-trace analyzer over a B1 smoke run and exits non-zero
 # on any unattributed event, broken request tree, or critical path that
@@ -39,42 +36,12 @@ trace-smoke:
 	$(GO) run ./cmd/tracegrid -smoke -check
 
 # Deterministic simulation testing: 200 randomized co-allocation
-# scenarios checked against the protocol invariant library; exits
-# non-zero (with a shrunk, replayable reproduction) on any violation.
-# See TESTING.md for the seed-replay workflow.
+# scenarios plus 40 federated ones (leader and follower crashes,
+# elections, shard hand-offs) checked against the protocol invariant
+# library; exits non-zero (with a shrunk, replayable reproduction) on any
+# violation. See TESTING.md for the seed-replay workflow.
 dst-smoke:
-	$(GO) run ./cmd/dstgrid -seeds 200 -smoke
-
-# Federation smoke: 40 randomized multi-replica scenarios (leader and
-# follower crashes, elections, shard hand-offs) through the DST
-# invariant library, then the 1-vs-2-replica B6 scaling rows — exits
-# non-zero if any invariant is violated or the two-replica row fails to
-# beat the single replica's throughput at equal tail latency.
-fed-smoke:
-	$(GO) run ./cmd/dstgrid -fed-seeds 40 -smoke
-	$(GO) run ./cmd/benchgrid -fig none -app federation -smoke
-
-# Wire smoke: replays the binary codec's fuzz seed corpus, then runs the
-# B3 codec/batching study on a seconds-long configuration — exits
-# non-zero unless the binary codec beats JSON on both messages/sec and
-# allocs/op with zero drops.
-wire-smoke:
-	$(GO) test -run FuzzWireEnvelope ./internal/wire
-	$(GO) run ./cmd/benchgrid -fig none -app wire -smoke
-
-# SLO smoke: the B7 detection-latency study on the seconds-long chaos
-# configuration — exits non-zero unless the fault-free row is completely
-# silent (zero alerts, zero flight-recorder dumps) and the faulted row
-# pages within the detection budget with one validated black box per fire.
-slo-smoke:
-	$(GO) run ./cmd/benchgrid -fig none -app slo -smoke
-
-# Scale smoke: the B4 job stream on a seconds-long configuration, run
-# twice — once on the reference heap timer engine, once on the production
-# timing wheel — exits non-zero if any deterministic virtual-time column
-# differs between the engines or any job fails or goes missing.
-scale-smoke:
-	$(GO) run ./cmd/benchgrid -fig none -app scale -smoke
+	$(GO) run ./cmd/dstgrid -seeds 200 -fed-seeds 40 -smoke
 
 # Re-measure the performance baseline: full 1s-per-bench suite, the
 # deterministic scenarios, and the full-size B4 scale run (minutes of

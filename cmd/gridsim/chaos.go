@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"cogrid/internal/experiments"
 )
@@ -16,24 +15,9 @@ import (
 // manager, so nothing keeps holding processors. Observability outputs
 // (trace, counters) follow opts.
 func runChaosDemo(opts runOptions) error {
-	cfg := experiments.ChaosConfig{
-		Machines:     4,
-		MachineSize:  16,
-		Sites:        2,
-		ProcsPerSite: 4,
-		Spares:       1,
-		Workers:      2,
-		WorkTime:     45 * time.Second,
-		Requests:     6,
-		Tenants:      2,
-		RatePerMin:   4,
-		Window:       2 * time.Minute,
-		MaxTime:      4 * time.Minute,
-		SubmitBudget: 6 * time.Minute,
-		// Seed 3's draw includes host crashes followed by machine restarts,
-		// so the orphan reaper has real work to show.
-		Seed: 3,
-	}
+	// Seed 3's draw includes host crashes followed by machine restarts,
+	// so the orphan reaper has real work to show.
+	cfg := experiments.ChaosSmokeConfig(3)
 	const faultRate = 0.75
 	fmt.Printf("chaos demo: %d batch machines x %d procs, %d broker workers, fault rate %.2f\n",
 		cfg.Machines, cfg.MachineSize, cfg.Workers, faultRate)

@@ -4,9 +4,10 @@
 // submission, LRM startup) the end-to-end latency went to, and which
 // subjob gated barrier release.
 //
-// It either reads a JSONL trace exported by `gridsim -trace-jsonl` /
-// `benchgrid` (-analyze FILE, "-" for stdin), or runs the built-in B1
-// smoke scenario in-process (-smoke) and analyzes its trace directly.
+// It either reads a JSONL trace exported by `gridsim -trace-jsonl`
+// (-analyze FILE, "-" for stdin), or runs one row of the B1 smoke size
+// (experiments.BrokerSmokeConfig, 12 requests/min at queue bound 2)
+// in-process (-smoke) and analyzes its trace directly.
 // With -check it validates the causal-tracing invariants (≥99% request-id
 // coverage, single-rooted request trees, critical-path durations summing
 // exactly to end-to-end latency) and exits non-zero on any violation —
@@ -49,18 +50,7 @@ func run(analyze string, smoke bool, seed int64, check bool, traceOut, gaugesOut
 	var events []trace.Event
 	switch {
 	case smoke:
-		cfg := experiments.BrokerLoadConfig{
-			Machines:     3,
-			MachineSize:  16,
-			Sites:        2,
-			ProcsPerSite: 4,
-			Workers:      2,
-			WorkTime:     time.Minute,
-			Requests:     8,
-			Tenants:      2,
-			Seed:         seed,
-		}
-		_, g := experiments.BrokerLoadRun(cfg, 12, 2)
+		_, g := experiments.BrokerLoadRun(experiments.BrokerSmokeConfig(seed), 12, 2)
 		events = g.Tracer.Events()
 		if traceOut != "" {
 			if err := writeTo(traceOut, g.Tracer.WriteJSONL); err != nil {

@@ -77,7 +77,8 @@ func fedProfile() Profile {
 
 // TestFedGeneratedSeedsClean sweeps forced-federation scenarios — replica
 // groups with crash/restart schedules on top of the usual machine faults.
-// The check.sh fed-smoke gate runs a wider band through cmd/dstgrid.
+// check.sh and `make dst-smoke` run a wider band (40 seeds) through
+// `dstgrid -fed-seeds`.
 func TestFedGeneratedSeedsClean(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		res, err := Run(Generate(seed, fedProfile()), RunOptions{})

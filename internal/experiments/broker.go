@@ -94,6 +94,25 @@ func (c *BrokerLoadConfig) fill() {
 	}
 }
 
+// BrokerSmokeConfig is the seconds-long CI size of the broker study: two
+// open-loop rates and one closed-loop row at a tight queue bound.
+func BrokerSmokeConfig(seed int64) BrokerLoadConfig {
+	return BrokerLoadConfig{
+		Machines:      3,
+		MachineSize:   16,
+		Sites:         2,
+		ProcsPerSite:  4,
+		Workers:       2,
+		WorkTime:      time.Minute,
+		Requests:      8,
+		Tenants:       2,
+		RatesPerMin:   []float64{4, 12},
+		QueueBounds:   []int{2},
+		ClosedClients: []int{2},
+		Seed:          seed,
+	}
+}
+
 // BrokerLoadRow is one load setting's aggregate outcome. Rejects, Retries,
 // CacheHits, and CacheStale are read back from the run's counter registry —
 // the same numbers `gridsim -counters` prints.

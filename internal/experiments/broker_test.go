@@ -8,26 +8,8 @@ import (
 	"cogrid/internal/trace"
 )
 
-// tinyBrokerConfig keeps the study small enough for the test gate.
-func tinyBrokerConfig() BrokerLoadConfig {
-	return BrokerLoadConfig{
-		Machines:      3,
-		MachineSize:   16,
-		Sites:         2,
-		ProcsPerSite:  4,
-		Workers:       2,
-		WorkTime:      time.Minute,
-		Requests:      8,
-		Tenants:       2,
-		RatesPerMin:   []float64{4, 12},
-		QueueBounds:   []int{2},
-		ClosedClients: []int{2},
-		Seed:          1,
-	}
-}
-
 func TestBrokerLoadStudySmoke(t *testing.T) {
-	res := BrokerLoadStudy(tinyBrokerConfig())
+	res := BrokerLoadStudy(BrokerSmokeConfig(1))
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (2 open + 1 closed)", len(res.Rows))
 	}
@@ -52,7 +34,7 @@ func TestBrokerLoadStudySmoke(t *testing.T) {
 func TestBrokerLoadBackpressureVisible(t *testing.T) {
 	// At the top offered rate with a tiny queue bound, admission rejects
 	// must show up in the counters (the acceptance criterion for B1).
-	cfg := tinyBrokerConfig()
+	cfg := BrokerSmokeConfig(1)
 	row, _ := BrokerLoadRun(cfg, 12, 1)
 	if row.Rejects == 0 {
 		t.Errorf("rejects = 0 at 12/min with queue bound 1; row = %+v", row)
@@ -65,7 +47,7 @@ func TestBrokerLoadBackpressureVisible(t *testing.T) {
 func TestBrokerLoadDeterminism(t *testing.T) {
 	// Two same-config runs must agree byte for byte on both the counter
 	// registry and the full trace export.
-	cfg := tinyBrokerConfig()
+	cfg := BrokerSmokeConfig(1)
 	row1, g1 := BrokerLoadRun(cfg, 12, 2)
 	row2, g2 := BrokerLoadRun(cfg, 12, 2)
 	if row1 != row2 {
@@ -107,9 +89,9 @@ func TestBrokerLoadCausalInvariants(t *testing.T) {
 	// A B1 smoke run must satisfy the causal-tracing invariants end to
 	// end: every event attributed to a request (coverage ≥ 99%), every
 	// request tree single-rooted, and every request's critical path
-	// summing exactly to its end-to-end latency. This is the in-process
-	// version of `make trace-smoke`.
-	_, g := BrokerLoadRun(tinyBrokerConfig(), 12, 2)
+	// summing exactly to its end-to-end latency. `make trace-smoke` checks
+	// the same run through cmd/tracegrid.
+	_, g := BrokerLoadRun(BrokerSmokeConfig(1), 12, 2)
 	a := trace.Analyze(g.Tracer.Events())
 	if problems := a.Check(); len(problems) > 0 {
 		for _, p := range problems {

@@ -8,34 +8,8 @@ import (
 	"cogrid/internal/trace"
 )
 
-// tinyChaosConfig keeps the chaos study small enough for the test gate
-// while still injecting faults at the top rate.
-func tinyChaosConfig() ChaosConfig {
-	return ChaosConfig{
-		Machines:     4,
-		MachineSize:  16,
-		Sites:        2,
-		ProcsPerSite: 4,
-		Spares:       1,
-		Workers:      2,
-		WorkTime:     45 * time.Second,
-		Requests:     6,
-		Tenants:      2,
-		RatePerMin:   4,
-		FaultRates:   []float64{0, 0.75},
-		Window:       2 * time.Minute,
-		MaxTime:      4 * time.Minute,
-		SubmitBudget: 6 * time.Minute,
-		// Seed 3 is chosen so the chaotic row exercises the full orphan
-		// pipeline: a host crash strands committed subjobs, a later
-		// machine-restart brings the gatekeeper back, and the reaper
-		// confirms every cancellation.
-		Seed: 3,
-	}
-}
-
 func TestChaosStudySmoke(t *testing.T) {
-	res := ChaosStudy(tinyChaosConfig())
+	res := ChaosStudy(ChaosSmokeConfig(1))
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
@@ -78,7 +52,7 @@ func TestChaosDeterminism(t *testing.T) {
 	// Two same-seed chaos runs must agree byte for byte on the counter
 	// registry and the full trace export — fault injection, substitution,
 	// watchdog, and reaping included.
-	cfg := tinyChaosConfig()
+	cfg := ChaosSmokeConfig(1)
 	row1, g1 := ChaosRun(cfg, 0.75)
 	row2, g2 := ChaosRun(cfg, 0.75)
 	if row1 != row2 {

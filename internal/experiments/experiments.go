@@ -1,8 +1,10 @@
 // Package experiments implements the paper's evaluation: each function
 // regenerates one figure, table, or application study on the simulated
-// grid, returning both structured results and formatted text. The same
-// code backs cmd/benchgrid and the repository's benchmarks; EXPERIMENTS.md
-// records paper-versus-measured values.
+// grid, returning both structured results and formatted text. Studies
+// declares every figure and study once, with its smoke size and its
+// acceptance gate; cmd/benchgrid renders that table and the repository's
+// benchmarks reuse the same code. EXPERIMENTS.md records
+// paper-versus-measured values.
 package experiments
 
 import (

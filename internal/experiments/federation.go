@@ -57,6 +57,12 @@ type FederationLoadConfig struct {
 	Seed   int64
 }
 
+// FederationSmokeConfig is the seconds-long CI size of the federation
+// study: the stock grid with just the one- and two-replica rows.
+func FederationSmokeConfig(seed int64) FederationLoadConfig {
+	return FederationLoadConfig{ReplicaCounts: []int{1, 2}, Seed: seed}
+}
+
 func (c *FederationLoadConfig) fill() {
 	if len(c.ReplicaCounts) == 0 {
 		c.ReplicaCounts = []int{1, 2, 4, 8}
@@ -162,6 +168,30 @@ func FederationLoadStudy(cfg FederationLoadConfig) FederationLoadResult {
 		res.Rows = append(res.Rows, row)
 	}
 	return res
+}
+
+// Check is the federation study's acceptance gate: at least one
+// multi-replica row must sustain higher admitted throughput than the
+// single-replica row at no worse p99 — even though the multi-replica rows
+// also absorb a leader crash mid-run. A sweep without a single-replica
+// baseline passes.
+func (r FederationLoadResult) Check() []string {
+	var base *FederationLoadRow
+	for i := range r.Rows {
+		if r.Rows[i].Replicas == 1 {
+			base = &r.Rows[i]
+		}
+	}
+	if base == nil {
+		return nil
+	}
+	for _, row := range r.Rows {
+		if row.Replicas > 1 && row.ThroughputPerMin > base.ThroughputPerMin && row.P99 <= base.P99 {
+			return nil
+		}
+	}
+	return []string{fmt.Sprintf("no multi-replica row beat the single-replica baseline (%.2f/min, p99 %v)",
+		base.ThroughputPerMin, base.P99)}
 }
 
 // fedTestbed assembles one run: a traced grid, a directory, publishing

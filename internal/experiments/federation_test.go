@@ -6,19 +6,13 @@ import (
 	"testing"
 )
 
-// fedSmokeConfig is the seconds-fast B6 setting CI runs: the stock grid
-// with just the one- and two-replica rows.
-func fedSmokeConfig() FederationLoadConfig {
-	return FederationLoadConfig{ReplicaCounts: []int{1, 2}}
-}
-
 // TestFederationScalingBeatsSingleReplica locks the study's acceptance
 // criterion: two replicas sustain higher admitted throughput than one at
 // no worse tail latency — even though the two-replica row also absorbs a
 // replica crash and restart mid-run, which the single-replica row is
 // spared.
 func TestFederationScalingBeatsSingleReplica(t *testing.T) {
-	res := FederationLoadStudy(fedSmokeConfig())
+	res := FederationLoadStudy(FederationSmokeConfig(1))
 	if len(res.Rows) != 2 {
 		t.Fatalf("expected 2 rows, got %d", len(res.Rows))
 	}
@@ -59,7 +53,7 @@ func TestFederationScalingBeatsSingleReplica(t *testing.T) {
 // failovers and all. This is the observatory's determinism contract
 // extended to the federation series.
 func TestFederationLoadDeterminism(t *testing.T) {
-	cfg := fedSmokeConfig()
+	cfg := FederationSmokeConfig(1)
 	rowA, gA := FederationLoadRun(cfg, 2)
 	rowB, gB := FederationLoadRun(cfg, 2)
 	if !reflect.DeepEqual(rowA, rowB) {

@@ -38,7 +38,7 @@ type ScaleConfig struct {
 	MeanInterarrival time.Duration
 	// Engines lists the timer engines to run, one row each. Empty means
 	// the production wheel only; the smoke configuration runs both and
-	// benchgrid diffs the rows' virtual-time columns.
+	// Check diffs the rows' virtual-time columns.
 	Engines []vtime.TimerEngine
 	Seed    int64
 }
@@ -73,10 +73,24 @@ func (c *ScaleConfig) fill() {
 	}
 }
 
+// ScaleSmokeConfig is the seconds-long CI size of the scale study: a
+// 10⁴-job stream run on both the reference heap and the production wheel,
+// so Check can diff the engines column by column.
+func ScaleSmokeConfig(seed int64) ScaleConfig {
+	return ScaleConfig{
+		Jobs:             10_000,
+		Machines:         100,
+		MachineSize:      32,
+		MeanInterarrival: 200 * time.Millisecond,
+		Engines:          []vtime.TimerEngine{vtime.EngineHeap, vtime.EngineWheel},
+		Seed:             seed,
+	}
+}
+
 // ScaleRow is one engine's outcome. The virtual-time columns (everything
 // except the wall-clock trio at the end) are deterministic for a fixed
 // config, identical across engines, and form the smoke differential
-// benchgrid -app scale enforces.
+// Check enforces.
 type ScaleRow struct {
 	Engine      string `json:"engine"`
 	Jobs        int    `json:"jobs"`
@@ -223,6 +237,31 @@ func (r ScaleRow) VirtualEqual(o ScaleRow) bool {
 	return r.Done == o.Done && r.Failed == o.Failed &&
 		r.TimersFired == o.TimersFired && r.VirtualEnd == o.VirtualEnd &&
 		r.MeanWait == o.MeanWait && r.P99Wait == o.P99Wait
+}
+
+// Check is the scale study's acceptance gate: every row accounts for
+// every job with zero failures (wall limits are sized so a correctly
+// scheduled job cannot hit one), and when the sweep runs more than one
+// timer engine, every deterministic virtual-time column must agree across
+// the rows — the smoke-sized kernel-equivalence differential. Returns one
+// message per violation.
+func (r ScaleResult) Check() []string {
+	var bad []string
+	for _, row := range r.Rows {
+		if got := row.Done + row.Failed; got != int64(r.Jobs) {
+			bad = append(bad, fmt.Sprintf("engine %s accounted for %d of %d jobs", row.Engine, got, r.Jobs))
+		}
+		if row.Failed != 0 {
+			bad = append(bad, fmt.Sprintf("engine %s failed %d jobs", row.Engine, row.Failed))
+		}
+	}
+	for i := 1; i < len(r.Rows); i++ {
+		if !r.Rows[0].VirtualEqual(r.Rows[i]) {
+			bad = append(bad, fmt.Sprintf("engines %s and %s diverge on virtual-time columns:\n  %+v\n  %+v",
+				r.Rows[0].Engine, r.Rows[i].Engine, r.Rows[0], r.Rows[i]))
+		}
+	}
+	return bad
 }
 
 // Table renders the study as text.

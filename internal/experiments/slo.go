@@ -39,33 +39,15 @@ func (c *SLOConfig) fill() {
 	}
 }
 
-// SLOSmokeConfig is the seconds-long CI configuration shared by
-// `benchgrid -app slo -smoke`, the perf scenario series, and
-// `gridtop -smoke`. It mirrors the B2 chaos smoke setting: seeds 0 and 1
-// shift to 3, where the high-fault row exercises the full orphan
-// pipeline (a crash strands committed subjobs and the reaper drains
-// them), so the orphan rule has something real to page about.
+// SLOSmokeConfig is the seconds-long CI size of the SLO study, shared by
+// `benchgrid -smoke`, the perf scenario series, and `gridtop -smoke`: the
+// B2 chaos smoke workload, with seed 0 treated as 1 so it too shifts to
+// seed 3 and the orphan rule has something real to page about.
 func SLOSmokeConfig(seed int64) SLOConfig {
-	if seed == 0 || seed == 1 {
-		seed = 3
+	if seed == 0 {
+		seed = 1
 	}
-	return SLOConfig{Chaos: ChaosConfig{
-		Machines:     4,
-		MachineSize:  16,
-		Sites:        2,
-		ProcsPerSite: 4,
-		Spares:       1,
-		Workers:      2,
-		WorkTime:     45 * time.Second,
-		Requests:     6,
-		Tenants:      2,
-		RatePerMin:   4,
-		FaultRates:   []float64{0, 0.75},
-		Window:       2 * time.Minute,
-		MaxTime:      4 * time.Minute,
-		SubmitBudget: 6 * time.Minute,
-		Seed:         seed,
-	}}
+	return SLOConfig{Chaos: ChaosSmokeConfig(seed)}
 }
 
 // SLORow is one fault-rate setting's outcome. Alerts/Resolves count the

@@ -50,6 +50,12 @@ func (c *WireConfig) fill() {
 	}
 }
 
+// WireSmokeConfig is the seconds-long CI size of the wire study: half the
+// virtual-time messages and 30ms wall-clock benches.
+func WireSmokeConfig(seed int64) WireConfig {
+	return WireConfig{Messages: 2000, BenchTime: "30ms", Seed: seed}
+}
+
 // WireRow is one codec/batching setting's outcome: wall-clock messages/sec
 // and allocations from a testing.Benchmark run, plus the deterministic
 // virtual-time wire statistics of a fixed-size streaming run.
@@ -95,8 +101,8 @@ var wireCodecs = []struct {
 // each codec × batching setting it streams notifications from a client to
 // a sink server — wall-clock throughput and allocations via
 // testing.Benchmark, wire bytes and batch sizes via a deterministic
-// virtual-time run. The acceptance bar (enforced by benchgrid -app wire)
-// is the binary codec beating JSON on both messages/sec and allocs/op.
+// virtual-time run. The acceptance bar (Check) is the binary codec
+// beating JSON on both messages/sec and allocs/op.
 func WireStudy(cfg WireConfig) WireResult {
 	cfg.fill()
 	if cfg.BenchTime != "" {
@@ -126,6 +132,43 @@ func WireStudy(cfg WireConfig) WireResult {
 		}
 	}
 	return res
+}
+
+// Check is the wire study's acceptance gate: the binary codec's
+// unbatched row must beat JSON's on both messages/sec and allocs/op, and
+// no row may drop a message — the flow-controlled stream fits the queue,
+// so any drop means the wire lost something it accounted as sent.
+// Returns one message per violation.
+func (r WireResult) Check() []string {
+	var bad []string
+	var jsonRow, binRow *WireRow
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		if row.Dropped != 0 {
+			bad = append(bad, fmt.Sprintf("codec %s (batched=%t) dropped %d messages",
+				row.Codec, row.Batched, row.Dropped))
+		}
+		if !row.Batched {
+			switch row.Codec {
+			case "json":
+				jsonRow = row
+			case "binary":
+				binRow = row
+			}
+		}
+	}
+	if jsonRow == nil || binRow == nil {
+		return append(bad, "study missing the unbatched json/binary rows")
+	}
+	if binRow.MsgsPerSec <= jsonRow.MsgsPerSec {
+		bad = append(bad, fmt.Sprintf("binary %.0f msgs/sec does not beat JSON %.0f",
+			binRow.MsgsPerSec, jsonRow.MsgsPerSec))
+	}
+	if binRow.AllocsPerOp >= jsonRow.AllocsPerOp {
+		bad = append(bad, fmt.Sprintf("binary %.1f allocs/op not below JSON %.1f",
+			binRow.AllocsPerOp, jsonRow.AllocsPerOp))
+	}
+	return bad
 }
 
 // WireNetRun is the deterministic half of a B3 row: it streams a fixed

@@ -280,23 +280,25 @@ func (r *Recorder) Snapshot(at time.Duration) []trace.Event {
 }
 
 // Trigger freezes the black box: it snapshots every ring as of now and
-// retains the dump (up to MaxDumps). Returns the dump. Nil-safe.
+// retains the dump, up to MaxDumps. Past the limit it takes no snapshot:
+// it only counts the skip (Skipped, flightrec.dump.skip) and returns a
+// Dump without Events. Nil-safe.
 func (r *Recorder) Trigger(trigger, detail string) Dump {
 	if r == nil {
 		return Dump{}
 	}
 	at := r.sim.Now()
-	d := Dump{At: at, Trigger: trigger, Detail: detail, Events: r.Snapshot(at)}
-	kind := d.Kind()
+	d := Dump{At: at, Trigger: trigger, Detail: detail}
 	r.dmu.Lock()
-	if len(r.dumps) < r.opts.MaxDumps {
-		r.dumps = append(r.dumps, d)
-		r.ctrs.Add(trace.Key("flightrec", "dump", kind, ""), 1)
-	} else {
+	defer r.dmu.Unlock()
+	if len(r.dumps) >= r.opts.MaxDumps {
 		r.skipped++
 		r.ctrs.Add(trace.Key("flightrec", "dump", "skip", ""), 1)
+		return d
 	}
-	r.dmu.Unlock()
+	d.Events = r.Snapshot(at)
+	r.dumps = append(r.dumps, d)
+	r.ctrs.Add(trace.Key("flightrec", "dump", d.Kind(), ""), 1)
 	return d
 }
 

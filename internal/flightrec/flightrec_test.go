@@ -203,6 +203,62 @@ func TestMaxDumpsAndCounters(t *testing.T) {
 	}
 }
 
+// TestSkippedTriggerTakesNoSnapshot pins that a trigger past MaxDumps
+// costs the same however full the rings are: it counts the skip but
+// copies no events.
+func TestSkippedTriggerTakesNoSnapshot(t *testing.T) {
+	sim := vtime.NewSeeded(1)
+	ctrs := trace.NewCounters()
+	rec := New(sim, Options{RingCap: 256, MaxDumps: 1})
+	rec.SetCounters(ctrs)
+	fill := func(events int) {
+		for i := 0; i < events; i++ {
+			rec.Record(trace.Event{At: sim.Now(), Cat: fmt.Sprintf("c%d", i%4), Name: "ev"})
+		}
+	}
+	var kept Dump
+	var snapshots int
+	var small, full float64
+	err := sim.Run("main", func() {
+		sim.SleepUntil(time.Second)
+		fill(8)
+		sim.SleepUntil(2 * time.Second)
+		kept = rec.Trigger("orphan", "kept")
+		skip := func() {
+			if d := rec.Trigger("orphan", "skipped"); d.Events != nil {
+				snapshots++
+			}
+		}
+		small = testing.AllocsPerRun(100, skip)
+		fill(1024)
+		sim.SleepUntil(3 * time.Second)
+		full = testing.AllocsPerRun(100, skip)
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if len(kept.Events) != 8 {
+		t.Fatalf("retained dump holds %d events, want 8", len(kept.Events))
+	}
+	if snapshots != 0 {
+		t.Fatalf("%d skipped triggers returned events", snapshots)
+	}
+	if full > small {
+		t.Fatalf("skipped trigger allocs grew with ring contents: %.1f -> %.1f", small, full)
+	}
+	if got := len(rec.Dumps()); got != 1 {
+		t.Fatalf("dumps: got %d want 1", got)
+	}
+	// AllocsPerRun makes one warm-up call on top of each run's count.
+	const skips = 2 * 101
+	if got := rec.Skipped(); got != skips {
+		t.Fatalf("skipped: got %d want %d", got, skips)
+	}
+	if got := ctrs.Get("flightrec.dump.skip"); got != skips {
+		t.Fatalf("skip counter: got %d want %d", got, skips)
+	}
+}
+
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var rec *Recorder
 	rec.Record(trace.Event{Cat: "c", Name: "n"})

@@ -104,7 +104,7 @@ func TestFedScenarioSeries(t *testing.T) {
 		}
 	}
 	// The returned grid's exposition carries the federation families for
-	// the Prometheus endpoint (perfgrid -prom, benchgrid -metrics-out).
+	// the Prometheus endpoint (perfgrid -prom).
 	var prom bytes.Buffer
 	if err := g.WriteMetrics(&prom); err != nil {
 		t.Fatal(err)

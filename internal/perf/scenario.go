@@ -42,7 +42,7 @@ const (
 // registry. Every value is a virtual-time quantity, so for a fixed seed
 // the returned series — and the grid's Prometheus exposition — are
 // byte-stable run to run. The grid is returned so callers can export its
-// registries (cmd/perfgrid -prom, benchgrid -metrics-out).
+// registries (cmd/perfgrid -prom).
 func RunScenario(seed int64) ([]Series, *grid.Grid, experiments.BrokerLoadRow) {
 	if seed == 0 {
 		seed = 1

@@ -38,28 +38,14 @@ go test -shuffle=on $short ./...
 echo "== go test -race -shuffle=on $short ./..."
 go test -race -shuffle=on $short ./...
 
-echo "== chaos smoke (leak check)"
-go run ./cmd/benchgrid -fig none -app chaos -smoke >/dev/null
+echo "== study smoke (every smoke-sized study through its gate)"
+go run ./cmd/benchgrid -smoke >/dev/null
 
 echo "== trace smoke (causal-tracing invariants)"
 go run ./cmd/tracegrid -smoke -check >/dev/null
 
-echo "== dst smoke (protocol invariants over 200 random scenarios)"
-go run ./cmd/dstgrid -seeds 200 -smoke >/dev/null
-
-echo "== fed smoke (federated invariants + replica scaling check)"
-go run ./cmd/dstgrid -fed-seeds 40 -smoke >/dev/null
-go run ./cmd/benchgrid -fig none -app federation -smoke >/dev/null
-
-echo "== wire smoke (codec fuzz seeds + B3 binary-beats-JSON gate)"
-go test -run FuzzWireEnvelope ./internal/wire >/dev/null
-go run ./cmd/benchgrid -fig none -app wire -smoke >/dev/null
-
-echo "== slo smoke (zero false positives + bounded detection lag gate)"
-go run ./cmd/benchgrid -fig none -app slo -smoke >/dev/null
-
-echo "== scale smoke (heap-vs-wheel dual-engine differential gate)"
-go run ./cmd/benchgrid -fig none -app scale -smoke >/dev/null
+echo "== dst smoke (protocol invariants over 200 random + 40 federated scenarios)"
+go run ./cmd/dstgrid -seeds 200 -fed-seeds 40 -smoke >/dev/null
 
 # Enforced per-package coverage floor for the kernel and the LRM — the
 # two packages the million-scale fast paths live in. Unlike the
