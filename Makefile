@@ -10,14 +10,19 @@ check:
 quick:
 	QUICK=1 sh scripts/check.sh
 
+# vet and test also cover perfbench: it is its own module (the repo
+# benchmark), so the root ./... never builds it, yet it compiles against
+# internal APIs.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -172,7 +172,7 @@ func instrument(p *lrm.Proc) error {
 	}
 	workers := cfg.WorldSize - 1
 	fmt.Printf("[instrument] online with %d reconstruction workers\n", workers)
-	tr := p.Host().Network().Tracer()
+	tr := p.Host().Network().Obs().Tracer
 
 	// Stream frames round-robin.
 	conns := make([]*transport.Conn, workers)
@@ -247,7 +247,7 @@ func recon(p *lrm.Proc) error {
 		return fmt.Errorf("recon listener closed")
 	}
 	defer conn.Close()
-	net := p.Host().Network()
+	o := p.Host().Network().Obs()
 	for {
 		m, err := recv(conn, 5*time.Minute)
 		if err != nil {
@@ -256,13 +256,13 @@ func recon(p *lrm.Proc) error {
 		if m.Type != "frame" || m.Seq < 0 {
 			return nil
 		}
-		reconStart := net.Tracer().Now()
+		reconStart := o.Tracer.Now()
 		if err := p.Sleep(2 * time.Second); err != nil { // reconstruction
 			return err
 		}
-		net.Tracer().Span("app", "reconstruct", p.Host().Name(), "recon", "", reconStart,
+		o.Tracer.Span("app", "reconstruct", p.Host().Name(), "recon", "", reconStart,
 			trace.Arg{Key: "seq", Val: strconv.Itoa(m.Seq)})
-		net.Counters().Add(trace.Key("app", "frames", "recon", p.Host().Name()), 1)
+		o.Counters.Add("app", "frames", "recon", p.Host().Name(), 1)
 		back, err := rt.DialRank(0)
 		if err != nil {
 			return err

@@ -36,10 +36,9 @@ import (
 
 	"cogrid/internal/agent"
 	"cogrid/internal/core"
-	"cogrid/internal/flightrec"
 	"cogrid/internal/gram"
 	"cogrid/internal/mds"
-	"cogrid/internal/metrics"
+	"cogrid/internal/obs"
 	"cogrid/internal/rpc"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
@@ -276,6 +275,7 @@ type ticket struct {
 type Broker struct {
 	sim     *vtime.Sim
 	host    *transport.Host
+	obs     *obs.Sinks
 	ctrl    *core.Controller
 	ctrlCfg core.ControllerConfig // kept for reap-sweep redials
 	opts    Options
@@ -310,6 +310,7 @@ func New(host *transport.Host, ctrlCfg core.ControllerConfig, opts Options) (*Br
 	b := &Broker{
 		sim:      sim,
 		host:     host,
+		obs:      host.Network().Obs(),
 		ctrlCfg:  ctrlCfg,
 		opts:     opts,
 		queues:   make(map[string][]*ticket),
@@ -388,17 +389,10 @@ func (b *Broker) OrphansPending() int {
 	return len(b.orphans)
 }
 
-func (b *Broker) tracer() *trace.Tracer          { return b.host.Network().Tracer() }
-func (b *Broker) counters() *trace.Counters      { return b.host.Network().Counters() }
-func (b *Broker) gauges() *metrics.GaugeSet      { return b.host.Network().Gauges() }
-func (b *Broker) hists() *metrics.HistogramSet   { return b.host.Network().Hists() }
-func (b *Broker) samples() *metrics.SampleLogSet { return b.host.Network().Samples() }
-func (b *Broker) flight() *flightrec.Recorder    { return b.host.Network().FlightRec() }
-
 // count increments broker.object.verb@<replica-id> (the host name
 // outside federations).
 func (b *Broker) count(object, verb string, delta int64) {
-	b.counters().Add(trace.Key("broker", object, verb, b.opts.ReplicaID), delta)
+	b.obs.Counters.Add("broker", object, verb, b.opts.ReplicaID, delta)
 }
 
 func (b *Broker) handleCall(sc *rpc.ServerConn, method string, body json.RawMessage) (any, error) {
@@ -465,8 +459,8 @@ func (b *Broker) submit(req Request, ctx trace.Ctx) (Reply, error) {
 		depth := b.queued
 		b.mu.Unlock()
 		b.count("queue", "reject", 1)
-		b.counters().Add(trace.Key("broker", "tenant", "reject", req.Tenant), 1)
-		b.tracer().InstantCtx(ctx, "broker", "reject", b.host.Name(), req.Tenant, "",
+		b.obs.Counters.Add("broker", "tenant", "reject", req.Tenant, 1)
+		b.obs.Tracer.InstantCtx(ctx, "broker", "reject", b.host.Name(), req.Tenant, "",
 			trace.Arg{Key: "depth", Val: strconv.Itoa(depth)},
 			trace.Arg{Key: "retry_after", Val: b.opts.RetryAfter.String()})
 		return Reply{Accepted: false, RetryAfter: b.opts.RetryAfter}, nil
@@ -491,8 +485,10 @@ func (b *Broker) submit(req Request, ctx trace.Ctx) (Reply, error) {
 	b.mu.Unlock()
 
 	b.count("queue", "enqueue", 1)
-	b.gauges().G("broker.queue_depth@" + b.opts.ReplicaID).Add(1)
-	b.tracer().InstantCtx(t.ctx, "broker", "enqueue", b.host.Name(), req.Tenant, b.corr(t),
+	if g := b.obs.Gauges; g != nil {
+		g.G("broker.queue_depth@" + b.opts.ReplicaID).Add(1)
+	}
+	b.obs.Tracer.InstantCtx(t.ctx, "broker", "enqueue", b.host.Name(), req.Tenant, b.corr(t),
 		trace.Arg{Key: "depth", Val: strconv.Itoa(depth)})
 	b.wake.TrySend(struct{}{})
 
@@ -539,7 +535,9 @@ func (b *Broker) pop() *ticket {
 		b.queues[tenant] = q[1:]
 		b.queued--
 		b.ringPos = (b.ringPos + i + 1) % n
-		b.gauges().G("broker.queue_depth@" + b.opts.ReplicaID).Add(-1)
+		if g := b.obs.Gauges; g != nil {
+			g.G("broker.queue_depth@" + b.opts.ReplicaID).Add(-1)
+		}
 		return t
 	}
 	return nil
@@ -568,9 +566,9 @@ func (b *Broker) serve(t *ticket) {
 	req := t.req
 	dequeuedAt := b.sim.Now()
 	// Admission wait: enqueue-to-worker-pickup latency under fair queueing.
-	b.hists().H("broker.admission.wait").Record(int64(dequeuedAt - t.enqueuedAt))
+	b.obs.Hists.H("broker.admission.wait").Record(int64(dequeuedAt - t.enqueuedAt))
 	b.count("queue", "dequeue", 1)
-	b.tracer().SpanAtCtx(t.ctx.Child("queue-wait"), "broker", "queue-wait", b.host.Name(), req.Tenant, b.corr(t),
+	b.obs.Tracer.SpanAtCtx(t.ctx.Child("queue-wait"), "broker", "queue-wait", b.host.Name(), req.Tenant, b.corr(t),
 		t.enqueuedAt, dequeuedAt)
 
 	var reply Reply
@@ -645,7 +643,7 @@ func (b *Broker) serve(t *ticket) {
 			abandoned = true
 			break
 		}
-		b.tracer().InstantCtx(t.ctx, "broker", "backoff", b.host.Name(), req.Tenant, b.corr(t),
+		b.obs.Tracer.InstantCtx(t.ctx, "broker", "backoff", b.host.Name(), req.Tenant, b.corr(t),
 			trace.Arg{Key: "class", Val: string(class)},
 			trace.Arg{Key: "backoff", Val: backoff.String()})
 		b.sim.Sleep(backoff)
@@ -657,7 +655,7 @@ func (b *Broker) serve(t *ticket) {
 	}
 	if abandoned {
 		reply.Error = fmt.Sprintf("broker: request abandoned at deadline after %d attempts", reply.Attempts)
-		b.tracer().InstantCtx(t.ctx, "broker", "abandon", b.host.Name(), req.Tenant, b.corr(t),
+		b.obs.Tracer.InstantCtx(t.ctx, "broker", "abandon", b.host.Name(), req.Tenant, b.corr(t),
 			trace.Arg{Key: "attempts", Val: strconv.Itoa(reply.Attempts)})
 	}
 
@@ -665,8 +663,10 @@ func (b *Broker) serve(t *ticket) {
 	// End-to-end broker-side request latency, all outcomes: the cumulative
 	// histogram for end-of-run quantiles, and the timestamped sample log
 	// the SLO engine burn-rates over sliding windows.
-	b.hists().H("broker.request.latency").Record(int64(reply.Elapsed))
-	b.samples().L("broker.request.latency@" + b.opts.ReplicaID).Record(int64(reply.Elapsed))
+	b.obs.Hists.H("broker.request.latency").Record(int64(reply.Elapsed))
+	if sl := b.obs.Samples; sl != nil {
+		sl.L("broker.request.latency@" + b.opts.ReplicaID).Record(int64(reply.Elapsed))
+	}
 	outcome := "ok"
 	switch {
 	case abandoned:
@@ -675,8 +675,8 @@ func (b *Broker) serve(t *ticket) {
 		outcome = "fail"
 	}
 	b.count("request", outcome, 1)
-	b.counters().Add(trace.Key("broker", "tenant", outcome, req.Tenant), 1)
-	b.tracer().SpanAtCtx(t.ctx, "broker", "request", b.host.Name(), req.Tenant, b.corr(t),
+	b.obs.Counters.Add("broker", "tenant", outcome, req.Tenant, 1)
+	b.obs.Tracer.SpanAtCtx(t.ctx, "broker", "request", b.host.Name(), req.Tenant, b.corr(t),
 		t.enqueuedAt, b.sim.Now(),
 		trace.Arg{Key: "outcome", Val: outcome},
 		trace.Arg{Key: "attempts", Val: strconv.Itoa(reply.Attempts)})
@@ -738,8 +738,8 @@ func (b *Broker) attempt(t *ticket, attempt int, deadline time.Duration) (agent.
 	candidates := agent.SelectByForecast(records, req.ProcsPerSite, want, 0, nil)
 	attemptCtx := t.ctx.Child("attempt" + strconv.Itoa(attempt))
 	finish := func(outcome string) {
-		b.hists().H("broker.attempt.latency").Record(int64(b.sim.Now() - start))
-		b.tracer().SpanCtx(attemptCtx, "broker", "attempt", b.host.Name(), req.Tenant, b.corr(t), start,
+		b.obs.Hists.H("broker.attempt.latency").Record(int64(b.sim.Now() - start))
+		b.obs.Tracer.SpanCtx(attemptCtx, "broker", "attempt", b.host.Name(), req.Tenant, b.corr(t), start,
 			trace.Arg{Key: "n", Val: strconv.Itoa(attempt)},
 			trace.Arg{Key: "outcome", Val: outcome})
 	}
@@ -790,11 +790,11 @@ func (b *Broker) attempt(t *ticket, attempt int, deadline time.Duration) (agent.
 					return
 				}
 				b.count("watchdog", "abort", 1)
-				b.tracer().InstantCtx(attemptCtx, "broker", "watchdog-abort", b.host.Name(), req.Tenant, b.corr(t),
+				b.obs.Tracer.InstantCtx(attemptCtx, "broker", "watchdog-abort", b.host.Name(), req.Tenant, b.corr(t),
 					trace.Arg{Key: "budget", Val: (budget + watchdogGrace).String()})
 				// A hung 2PC attempt is exactly the moment the black box
 				// exists for: freeze the recent past before aborting.
-				b.flight().Trigger("watchdog-abort", b.opts.ReplicaID+" "+b.corr(t))
+				b.obs.Flight.Trigger("watchdog-abort", b.opts.ReplicaID+" "+b.corr(t))
 				job.Abort("broker: attempt watchdog fired after " + (budget + watchdogGrace).String())
 			})
 		},
@@ -837,14 +837,16 @@ func (b *Broker) addOrphan(o core.Orphan) {
 	if !known {
 		// Gauge tracks distinct unreaped orphans; a re-recorded key (the
 		// same subjob orphaned again before its reap) must not double-count.
-		b.gauges().G("broker.orphans@" + b.opts.ReplicaID).Add(1)
-		b.flight().Trigger("orphan", b.opts.ReplicaID+" "+key)
+		if g := b.obs.Gauges; g != nil {
+			g.G("broker.orphans@" + b.opts.ReplicaID).Add(1)
+		}
+		b.obs.Flight.Trigger("orphan", b.opts.ReplicaID+" "+key)
 	}
 	b.count("orphan", "record", 1)
 	// The event args must not depend on the orphan set's size: concurrent
 	// cancel daemons record at the same instant in nondeterministic order,
 	// and a running count would leak that order into the trace.
-	b.tracer().InstantCtx(o.Ctx, "broker", "orphan", b.host.Name(), key, "",
+	b.obs.Tracer.InstantCtx(o.Ctx, "broker", "orphan", b.host.Name(), key, "",
 		trace.Arg{Key: "rm", Val: o.RM.String()},
 		trace.Arg{Key: "reason", Val: o.Reason})
 }
@@ -884,7 +886,9 @@ func (b *Broker) reapPending() {
 		b.mu.Lock()
 		delete(b.orphans, k)
 		b.mu.Unlock()
-		b.gauges().G("broker.orphans@" + b.opts.ReplicaID).Add(-1)
+		if g := b.obs.Gauges; g != nil {
+			g.G("broker.orphans@" + b.opts.ReplicaID).Add(-1)
+		}
 		b.count("orphan", "reaped", 1)
 		if b.opts.OnReap != nil {
 			b.opts.OnReap(k)
@@ -917,7 +921,7 @@ func (b *Broker) reapOne(key string, o core.Orphan) bool {
 		b.count("reap", "retry", 1)
 		return false
 	}
-	b.tracer().SpanAtCtx(ctx, "broker", "reap", b.host.Name(), key, "", start, b.sim.Now(),
+	b.obs.Tracer.SpanAtCtx(ctx, "broker", "reap", b.host.Name(), key, "", start, b.sim.Now(),
 		trace.Arg{Key: "rm", Val: o.RM.String()})
 	return true
 }

@@ -101,7 +101,7 @@ func (c *cache) refresh() {
 	c.have = true
 	c.mu.Unlock()
 	c.count("refresh", c.replica, 1)
-	c.host.Network().Tracer().SpanCtx(c.ctx, "broker", "cache-refresh", c.host.Name(), "cache", "", start,
+	c.host.Network().Obs().Tracer.SpanCtx(c.ctx, "broker", "cache-refresh", c.host.Name(), "cache", "", start,
 		trace.Arg{Key: "records", Val: strconv.Itoa(len(records))})
 }
 
@@ -148,5 +148,5 @@ func (c *cache) view() ([]mds.Record, time.Duration, time.Duration) {
 }
 
 func (c *cache) count(verb, scope string, delta int64) {
-	c.host.Network().Counters().Add(trace.Key("broker", "cache", verb, scope), delta)
+	c.host.Network().Obs().Counters.Add("broker", "cache", verb, scope, delta)
 }

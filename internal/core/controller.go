@@ -8,7 +8,7 @@ import (
 
 	"cogrid/internal/gram"
 	"cogrid/internal/gsi"
-	"cogrid/internal/metrics"
+	"cogrid/internal/obs"
 	"cogrid/internal/rpc"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
@@ -108,6 +108,7 @@ type Orphan struct {
 type Controller struct {
 	sim  *vtime.Sim
 	host *transport.Host
+	obs  *obs.Sinks
 	cfg  ControllerConfig
 
 	mu      sync.Mutex
@@ -132,6 +133,7 @@ func NewController(host *transport.Host, cfg ControllerConfig) (*Controller, err
 	c := &Controller{
 		sim:  host.Network().Sim(),
 		host: host,
+		obs:  host.Network().Obs(),
 		cfg:  cfg,
 		jobs: make(map[string]*Job),
 	}
@@ -228,7 +230,9 @@ func (c *Controller) SubmitCtx(req Request, ctx trace.Ctx) (*Job, error) {
 	c.mu.Unlock()
 	// Outstanding 2PC transactions gauge: one per live co-allocation,
 	// decremented when the job finishes (committed-and-done or aborted).
-	c.gauges().G("duroc.outstanding@" + c.host.Name()).Add(1)
+	if g := c.obs.Gauges; g != nil {
+		g.G("duroc.outstanding@" + c.host.Name()).Add(1)
+	}
 	c.sim.GoDaemon("duroc-engine:"+id, j.engine)
 	return j, nil
 }
@@ -287,36 +291,29 @@ func (c *Controller) HandleNotify(sc *rpc.ServerConn, method string, body json.R
 // the potential processor leak visible, and the OnOrphan hook hands the
 // contact to whoever owns reaping.
 func (c *Controller) orphaned(o Orphan) {
-	c.tracer().InstantCtx(o.Ctx, "duroc", "orphan", c.host.Name(), o.Job+"/"+o.Subjob, "",
+	c.obs.Tracer.InstantCtx(o.Ctx, "duroc", "orphan", c.host.Name(), o.Job+"/"+o.Subjob, "",
 		trace.Arg{Key: "rm", Val: o.RM.String()},
 		trace.Arg{Key: "reason", Val: o.Reason})
-	c.counters().Add(trace.Key("duroc", "orphan", "record", c.host.Name()), 1)
+	c.obs.Counters.Add("duroc", "orphan", "record", c.host.Name(), 1)
 	if c.cfg.OnOrphan != nil {
 		c.cfg.OnOrphan(o)
 	}
 }
 
 // record emits a timeline span if a recorder is configured, and mirrors the
-// phase into the trace stream so the Figure 5 timeline is derivable from a
-// trace alone. The span lands at ctx's child named for the phase.
+// phase into the trace stream as a duroc span at ctx's child named for the
+// phase. The trace is not a lossless copy of the Figure 5 timeline: a
+// zero-length phase (a barrier released the instant it is entered) is an
+// instant there, which DeriveTimeline drops, and the duroc category also
+// carries the commit span the timeline does not.
 func (c *Controller) record(ctx trace.Ctx, actor, phase string, start, end time.Duration) {
 	if c.cfg.Timeline != nil {
 		c.cfg.Timeline.Add(actor, phase, start, end)
 	}
 	// Per-phase 2PC leg latency distribution (submit, startup-wait,
 	// barrier): the histogram counterpart of the Figure 5 timeline spans.
-	c.hists().H("core.2pc." + phase).Record(int64(end - start))
-	c.host.Network().Tracer().SpanAtCtx(ctx.Child(trace.Seg(phase)), "duroc", phase, c.host.Name(), actor, "", start, end)
+	if hs := c.obs.Hists; hs != nil {
+		hs.H("core.2pc." + phase).Record(int64(end - start))
+	}
+	c.obs.Tracer.SpanAtCtx(ctx.Child(trace.Seg(phase)), "duroc", phase, c.host.Name(), actor, "", start, end)
 }
-
-// tracer returns the network's tracer (nil-safe no-op when tracing is off).
-func (c *Controller) tracer() *trace.Tracer { return c.host.Network().Tracer() }
-
-// counters returns the network's counter registry (nil-safe).
-func (c *Controller) counters() *trace.Counters { return c.host.Network().Counters() }
-
-// gauges returns the network's gauge registry (nil-safe).
-func (c *Controller) gauges() *metrics.GaugeSet { return c.host.Network().Gauges() }
-
-// hists returns the network's histogram registry (nil-safe).
-func (c *Controller) hists() *metrics.HistogramSet { return c.host.Network().Hists() }

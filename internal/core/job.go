@@ -136,8 +136,8 @@ func (j *Job) emit(kind EventKind, sj *subjob, reason string) {
 	if sj != nil {
 		ctx = sj.ctx
 	}
-	j.c.tracer().InstantCtx(ctx, "duroc", kind.String(), j.c.host.Name(), j.id, "", args...)
-	j.c.counters().Add(trace.Key("duroc", "event", kind.String(), j.c.host.Name()), 1)
+	j.c.obs.Tracer.InstantCtx(ctx, "duroc", kind.String(), j.c.host.Name(), j.id, "", args...)
+	j.c.obs.Counters.Add("duroc", "event", kind.String(), j.c.host.Name(), 1)
 	j.events.TrySend(ev)
 }
 
@@ -298,7 +298,7 @@ func (j *Job) cancelRemote(client *gram.Client, spec SubjobSpec, contact string,
 	if err == nil {
 		return
 	}
-	j.c.counters().Add(trace.Key("duroc", "cancel", "fail", j.c.host.Name()), 1)
+	j.c.obs.Counters.Add("duroc", "cancel", "fail", j.c.host.Name(), 1)
 	j.c.orphaned(Orphan{
 		Job:        j.id,
 		Subjob:     spec.Label,
@@ -596,7 +596,7 @@ func (j *Job) pollReleased(sj *subjob) {
 		retry()
 		return
 	}
-	j.c.counters().Add(trace.Key("duroc", "completion", "poll", j.c.host.Name()), 1)
+	j.c.obs.Counters.Add("duroc", "completion", "poll", j.c.host.Name(), 1)
 	switch state {
 	case lrm.StateDone:
 		j.subjobDone(sj)
@@ -658,7 +658,9 @@ func (j *Job) finish() {
 	}
 	j.mu.Unlock()
 	j.events.Close()
-	j.c.gauges().G("duroc.outstanding@" + j.c.host.Name()).Add(-1)
+	if g := j.c.obs.Gauges; g != nil {
+		g.G("duroc.outstanding@" + j.c.host.Name()).Add(-1)
+	}
 	j.done.Set()
 }
 
@@ -755,9 +757,9 @@ func (j *Job) checkin(args checkinArgs, ctx trace.Ctx) checkinReply {
 	if !ctx.Valid() {
 		ctx = sj.ctx
 	}
-	j.c.tracer().InstantCtx(ctx, "duroc", "barrier-enter", j.c.host.Name(), j.id+"/"+args.Subjob, "",
+	j.c.obs.Tracer.InstantCtx(ctx, "duroc", "barrier-enter", j.c.host.Name(), j.id+"/"+args.Subjob, "",
 		trace.Arg{Key: "rank", Val: strconv.Itoa(args.Rank)})
-	j.c.counters().Add(trace.Key("duroc", "barrier", "enter", j.c.host.Name()), 1)
+	j.c.obs.Counters.Add("duroc", "barrier", "enter", j.c.host.Name(), 1)
 	full := len(sj.checkins) == sj.spec.Count
 	if full && (sj.status == SJActive || sj.status == SJSubmitted) {
 		sj.status = SJCheckedIn
@@ -838,9 +840,9 @@ func (j *Job) Commit(timeout time.Duration) (Config, error) {
 	deadline := j.c.sim.Now() + timeout
 	commitStart := j.c.sim.Now()
 	finish := func(outcome string) {
-		j.c.tracer().SpanCtx(j.ctx.Child("commit"), "duroc", "commit", j.c.host.Name(), j.id, "", commitStart,
+		j.c.obs.Tracer.SpanCtx(j.ctx.Child("commit"), "duroc", "commit", j.c.host.Name(), j.id, "", commitStart,
 			trace.Arg{Key: "outcome", Val: outcome})
-		j.c.counters().Add(trace.Key("duroc", "commit", outcome, j.c.host.Name()), 1)
+		j.c.obs.Counters.Add("duroc", "commit", outcome, j.c.host.Name(), 1)
 	}
 	j.mu.Lock()
 	j.committing = true
@@ -920,10 +922,10 @@ func (j *Job) releaseLocked() Config {
 	j.config = cfg
 	j.released = true
 	j.releaseAt = now
-	j.c.tracer().InstantCtx(j.ctx, "duroc", "release", j.c.host.Name(), j.id, "",
+	j.c.obs.Tracer.InstantCtx(j.ctx, "duroc", "release", j.c.host.Name(), j.id, "",
 		trace.Arg{Key: "world", Val: strconv.Itoa(cfg.WorldSize)},
 		trace.Arg{Key: "subjobs", Val: strconv.Itoa(cfg.NSubjobs)})
-	j.c.counters().Add(trace.Key("duroc", "barrier", "release", j.c.host.Name()), 1)
+	j.c.obs.Counters.Add("duroc", "barrier", "release", j.c.host.Name(), 1)
 
 	for idx, sj := range committed {
 		for _, ci := range sj.checkins {

@@ -111,7 +111,7 @@ func (r *reaper) add(o core.Orphan) {
 		r.recorded++
 	}
 	r.mu.Unlock()
-	r.g.Counters.Add(trace.Key("dst", "orphan", "record", "workstation"), 1)
+	r.g.Counters.Add("dst", "orphan", "record", "workstation", 1)
 }
 
 func (r *reaper) run() {
@@ -140,7 +140,7 @@ func (r *reaper) sweep() {
 		delete(r.orphans, k)
 		r.reaped++
 		r.mu.Unlock()
-		r.g.Counters.Add(trace.Key("dst", "orphan", "reaped", "workstation"), 1)
+		r.g.Counters.Add("dst", "orphan", "reaped", "workstation", 1)
 	}
 }
 
@@ -249,10 +249,7 @@ func Run(sc Scenario, opts RunOptions) (RunResult, error) {
 	// The SLO engine watches the run live, exactly as production would:
 	// its daemon evaluates fault-linked objectives on a lagged horizon and
 	// fires alerts (plus flight-recorder dumps) while faults are active.
-	engine := slo.New(slo.Deps{
-		Sim: g.Sim, Tracer: g.Tracer, Counters: g.Counters,
-		Gauges: g.Gauges, Samples: g.Samples, Flight: g.Flight,
-	}, sloRules(sc), slo.Options{EvalInterval: 10 * time.Second})
+	engine := slo.New(g.Sinks, sloRules(sc), slo.Options{EvalInterval: 10 * time.Second})
 	engine.Start()
 
 	plan, healBy := materializeFaults(sc.Faults, peer)
@@ -640,7 +637,7 @@ func submitBroker(host *transport.Host, addr transport.Addr, i int, j JobSpec, k
 		StartupTimeout: j.StartupTimeout,
 		MaxTime:        j.MaxTime,
 	}, budget, 20)
-	host.Network().Tracer().SpanAtCtx(ctx, "client", "request", host.Name(), j.Tenant, "", start, sim.Now())
+	host.Network().Obs().Tracer.SpanAtCtx(ctx, "client", "request", host.Name(), j.Tenant, "", start, sim.Now())
 	return err == nil && reply.OK()
 }
 

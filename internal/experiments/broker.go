@@ -368,7 +368,7 @@ func brokerSubmit(g *grid.Grid, host *transport.Host, b *broker.Broker, id strin
 	}
 	defer c.Close()
 	reply, _, err := c.SubmitWait(req, 0, 50)
-	host.Network().Tracer().SpanAtCtx(ctx, "client", "request", host.Name(), req.Tenant, "", start, sim.Now())
+	host.Network().Obs().Tracer.SpanAtCtx(ctx, "client", "request", host.Name(), req.Tenant, "", start, sim.Now())
 	return reply, err == nil
 }
 

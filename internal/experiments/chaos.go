@@ -398,7 +398,7 @@ func chaosSubmit(host *transport.Host, b *broker.Broker, req broker.Request, bud
 	}
 	defer c.Close()
 	reply, _, err := c.SubmitWait(req, budget, 50)
-	host.Network().Tracer().SpanAtCtx(ctx, "client", "request", host.Name(), req.Tenant, "", start, sim.Now())
+	host.Network().Obs().Tracer.SpanAtCtx(ctx, "client", "request", host.Name(), req.Tenant, "", start, sim.Now())
 	return reply, err == nil
 }
 

@@ -372,7 +372,7 @@ func fedSubmit(g *grid.Grid, host *transport.Host, fed *federation.Federation, h
 		reply, ok = re, true
 		break
 	}
-	host.Network().Tracer().SpanAtCtx(ctx, "client", "request", host.Name(), req.Tenant, "", start, sim.Now())
+	host.Network().Obs().Tracer.SpanAtCtx(ctx, "client", "request", host.Name(), req.Tenant, "", start, sim.Now())
 	return reply, ok, failovers
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"cogrid/internal/lrm"
 	"cogrid/internal/metrics"
+	"cogrid/internal/obs"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
 )
@@ -149,7 +150,7 @@ func ScaleRun(cfg ScaleConfig, engine vtime.TimerEngine) ScaleRow {
 	sim := vtime.NewWithConfig(vtime.Config{Seed: cfg.Seed, Engine: engine})
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
 	hists := metrics.NewHistogramSet()
-	net.SetHists(hists)
+	net.Attach(obs.Sinks{Hists: hists})
 
 	machines := make([]*lrm.Machine, cfg.Machines)
 	for i := range machines {

@@ -130,10 +130,7 @@ func SLORun(cfg SLOConfig, faultRate float64) (SLORow, *grid.Grid, *slo.Engine) 
 	cfg.fill()
 	var eng *slo.Engine
 	crow, g := chaosRun(cfg.Chaos, faultRate, func(g *grid.Grid) {
-		eng = slo.New(slo.Deps{
-			Sim: g.Sim, Tracer: g.Tracer, Counters: g.Counters,
-			Gauges: g.Gauges, Samples: g.Samples, Flight: g.Flight,
-		}, SLORules(cfg.Chaos), slo.Options{EvalInterval: cfg.EvalInterval})
+		eng = slo.New(g.Sinks, SLORules(cfg.Chaos), slo.Options{EvalInterval: cfg.EvalInterval})
 		eng.Start()
 	})
 	eng.Stop()

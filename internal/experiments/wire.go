@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cogrid/internal/metrics"
+	"cogrid/internal/obs"
 	"cogrid/internal/rpc"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
@@ -179,9 +180,8 @@ func WireNetRun(codec rpc.Codec, batch transport.BatchOptions, messages, bodyLen
 	sim := vtime.New()
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
 	ctrs := trace.NewCounters()
-	net.SetCounters(ctrs)
 	hists := metrics.NewHistogramSet()
-	net.SetHists(hists)
+	net.Attach(obs.Sinks{Counters: ctrs, Hists: hists})
 	if batch.Delay > 0 {
 		net.SetBatching(batch)
 	}

@@ -343,7 +343,7 @@ func (inc *incarnation) heartbeatRound() {
 	inc.count("heartbeat", "round", 1)
 	for _, p := range dead {
 		inc.count("replica", "declare-dead", 1)
-		f.tracer().InstantCtx(inc.ctx, "fed", "declare-dead", inc.r.name, inc.r.name, "",
+		f.obs.Tracer.InstantCtx(inc.ctx, "fed", "declare-dead", inc.r.name, inc.r.name, "",
 			trace.Arg{Key: "peer", Val: f.replicaName(p)})
 	}
 	if reshard {
@@ -407,9 +407,9 @@ func (inc *incarnation) runElection() {
 	epoch := inc.epoch
 	inc.mu.Unlock()
 
-	f.hists().H("fed.election.latency").Record(int64(f.sim.Now() - start))
+	f.obs.Hists.H("fed.election.latency").Record(int64(f.sim.Now() - start))
 	inc.count("election", "win", 1)
-	f.tracer().InstantCtx(inc.ctx, "fed", "leader-elected", inc.r.name, inc.r.name, "",
+	f.obs.Tracer.InstantCtx(inc.ctx, "fed", "leader-elected", inc.r.name, inc.r.name, "",
 		trace.Arg{Key: "epoch", Val: fmt.Sprint(epoch)})
 	// Announce in ascending id order; peers that are down simply miss the
 	// announcement and learn the leader from its first heartbeat.
@@ -650,7 +650,7 @@ func (inc *incarnation) reapEntry(e Entry) bool {
 		return cur
 	})
 	if e.HandoffAt > 0 {
-		f.hists().H("fed.handoff.time").Record(int64(now - e.HandoffAt))
+		f.obs.Hists.H("fed.handoff.time").Record(int64(now - e.HandoffAt))
 	}
 	inc.count("reap", e.Kind, 1)
 	return true

@@ -8,7 +8,7 @@ import (
 	"cogrid/internal/broker"
 	"cogrid/internal/core"
 	"cogrid/internal/mds"
-	"cogrid/internal/metrics"
+	"cogrid/internal/obs"
 	"cogrid/internal/rpc"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
@@ -101,6 +101,7 @@ func (o *Options) fill() {
 type Federation struct {
 	sim      *vtime.Sim
 	net      *transport.Network
+	obs      *obs.Sinks
 	ctrlCfg  core.ControllerConfig
 	opts     Options
 	replicas []*Replica
@@ -133,6 +134,7 @@ func New(net *transport.Network, ctrlCfg core.ControllerConfig, opts Options) (*
 	f := &Federation{
 		sim:     net.Sim(),
 		net:     net,
+		obs:     net.Obs(),
 		ctrlCfg: ctrlCfg,
 		opts:    opts,
 	}
@@ -161,7 +163,7 @@ func New(net *transport.Network, ctrlCfg core.ControllerConfig, opts Options) (*
 	if lead := f.replicas[opts.Replicas-1]; lead.inc != nil {
 		lead.inc.publishShardMap(initial)
 	}
-	f.gauges().G("fed.live_replicas").Add(float64(opts.Replicas))
+	f.obs.Gauges.G("fed.live_replicas").Add(float64(opts.Replicas))
 	return f, nil
 }
 
@@ -190,11 +192,6 @@ func (f *Federation) Replica(i int) *Replica { return f.replicas[i] }
 
 // Options exposes the filled configuration.
 func (f *Federation) Options() Options { return f.opts }
-
-func (f *Federation) tracer() *trace.Tracer        { return f.net.Tracer() }
-func (f *Federation) counters() *trace.Counters    { return f.net.Counters() }
-func (f *Federation) gauges() *metrics.GaugeSet    { return f.net.Gauges() }
-func (f *Federation) hists() *metrics.HistogramSet { return f.net.Hists() }
 
 // MergedJournal merges every live replica's journal copy — the audit
 // surface the DST invariants read. Entries only known to a crashed
@@ -401,12 +398,12 @@ func (r *Replica) Crash() {
 		}
 	}
 	f := r.fed
-	f.counters().Add(trace.Key("fed", "replica", "crash", r.name), 1)
-	f.gauges().G("fed.live_replicas").Add(-1)
-	f.tracer().InstantCtx(inc.ctx, "fed", "crash", r.name, r.name, "")
+	f.obs.Counters.Add("fed", "replica", "crash", r.name, 1)
+	f.obs.Gauges.G("fed.live_replicas").Add(-1)
+	f.obs.Tracer.InstantCtx(inc.ctx, "fed", "crash", r.name, r.name, "")
 	// Black-box the moments before the crash: the handoff and re-election
 	// that follow are best debugged from what the dead replica last saw.
-	f.net.FlightRec().Trigger("replica-crash", r.name)
+	f.obs.Flight.Trigger("replica-crash", r.name)
 }
 
 // Restart brings the replica back as a fresh process: empty journal,
@@ -427,9 +424,9 @@ func (r *Replica) Restart() error {
 	r.mu.Lock()
 	inc := r.inc
 	r.mu.Unlock()
-	f.counters().Add(trace.Key("fed", "replica", "restart", r.name), 1)
-	f.gauges().G("fed.live_replicas").Add(1)
-	f.tracer().InstantCtx(inc.ctx, "fed", "restart", r.name, r.name, "")
+	f.obs.Counters.Add("fed", "replica", "restart", r.name, 1)
+	f.obs.Gauges.G("fed.live_replicas").Add(1)
+	f.obs.Tracer.InstantCtx(inc.ctx, "fed", "restart", r.name, r.name, "")
 	return nil
 }
 
@@ -469,7 +466,7 @@ func (inc *incarnation) now() time.Duration {
 }
 
 func (inc *incarnation) count(object, verb string, delta int64) {
-	inc.r.fed.counters().Add(trace.Key("fed", object, verb, inc.r.name), delta)
+	inc.r.fed.obs.Counters.Add("fed", object, verb, inc.r.name, delta)
 }
 
 func (inc *incarnation) shardMap() ShardMap {

@@ -107,6 +107,6 @@ func (inc *incarnation) forward(req broker.Request, ctx trace.Ctx) (broker.Reply
 		return broker.Reply{}, fmt.Errorf("fed: peer %s: %s", best, reply.Error)
 	}
 	inc.count("forward", "commit", 1)
-	f.hists().H("fed.forward.hops").Record(int64(reply.Hops + 1))
+	f.obs.Hists.H("fed.forward.hops").Record(int64(reply.Hops + 1))
 	return reply, nil
 }

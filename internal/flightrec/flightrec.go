@@ -48,26 +48,16 @@ import (
 	"cogrid/internal/vtime"
 )
 
-// Options configures a Recorder. Zero values select the defaults.
-type Options struct {
-	// RingCap is the per-component retention capacity in events
-	// (default 512). Each ring physically holds 2x this so the current
-	// instant can race ahead without evicting sealed history.
-	RingCap int
-	// MaxDumps bounds retained dumps (default 16). The first failures
-	// are the interesting ones, so later triggers beyond the bound are
-	// counted but not kept.
-	MaxDumps int
-}
-
-func (o *Options) fill() {
-	if o.RingCap <= 0 {
-		o.RingCap = 512
-	}
-	if o.MaxDumps <= 0 {
-		o.MaxDumps = 16
-	}
-}
+const (
+	// RingCap is the per-component retention capacity in events. Each
+	// ring physically holds 2x this so the current instant can race
+	// ahead without evicting sealed history.
+	RingCap = 512
+	// MaxDumps bounds retained dumps. The first failures are the
+	// interesting ones, so later triggers beyond the bound are counted
+	// but not kept.
+	MaxDumps = 16
+)
 
 // Dump is one frozen black box: the retained recent events of every
 // component at trigger time, in deterministic trace order.
@@ -101,7 +91,7 @@ type entry struct {
 // mu; seen stamps are taken under mu so entries are monotone in seen.
 type ring struct {
 	mu   sync.Mutex
-	buf  []entry // fixed at 2*cap
+	buf  []entry // fixed at 2*RingCap
 	head int     // index of oldest entry
 	n    int     // live entries
 	// sealed counts entries (from head) whose seen < lastSeen; only they
@@ -114,8 +104,7 @@ type ring struct {
 // Recorder is the flight recorder. A nil *Recorder is a valid no-op for
 // every method, so untraced paths need no guards.
 type Recorder struct {
-	sim  *vtime.Sim
-	opts Options
+	sim *vtime.Sim
 
 	rmu   sync.RWMutex
 	rings map[string]*ring
@@ -127,18 +116,11 @@ type Recorder struct {
 	ctrs *trace.Counters
 }
 
-// New creates a recorder stamping entries with sim's virtual clock.
-func New(sim *vtime.Sim, opts Options) *Recorder {
-	opts.fill()
-	return &Recorder{sim: sim, opts: opts, rings: make(map[string]*ring)}
-}
-
-// SetCounters attaches a counter registry; each trigger then increments
-// flightrec.dump.<kind> (and flightrec.dump.skip when beyond MaxDumps).
-func (r *Recorder) SetCounters(c *trace.Counters) {
-	if r != nil {
-		r.ctrs = c
-	}
+// New creates a recorder stamping entries with sim's virtual clock. When
+// ctrs is non-nil each trigger increments flightrec.dump.<kind> there
+// (and flightrec.dump.skip when beyond MaxDumps).
+func New(sim *vtime.Sim, ctrs *trace.Counters) *Recorder {
+	return &Recorder{sim: sim, rings: make(map[string]*ring), ctrs: ctrs}
 }
 
 func (r *Recorder) ring(cat string) *ring {
@@ -153,7 +135,7 @@ func (r *Recorder) ring(cat string) *ring {
 	if rg, ok = r.rings[cat]; ok {
 		return rg
 	}
-	rg = &ring{buf: make([]entry, 2*r.opts.RingCap)}
+	rg = &ring{buf: make([]entry, 2*RingCap)}
 	r.rings[cat] = rg
 	return rg
 }
@@ -167,13 +149,13 @@ func (r *Recorder) Record(ev trace.Event) {
 	}
 	rg := r.ring(ev.Cat)
 	rg.mu.Lock()
-	rg.push(entry{ev: ev, seen: r.sim.Now()}, r.opts.RingCap)
+	rg.push(entry{ev: ev, seen: r.sim.Now()})
 	rg.mu.Unlock()
 }
 
 // push appends e, evicting at whole-instant granularity so that retained
 // history never depends on same-instant arrival races. Caller holds rg.mu.
-func (rg *ring) push(e entry, cap int) {
+func (rg *ring) push(e entry) {
 	if e.seen > rg.lastSeen {
 		// A new instant begins: everything currently buffered is sealed.
 		rg.lastSeen = e.seen
@@ -195,9 +177,9 @@ func (rg *ring) push(e entry, cap int) {
 	}
 	rg.buf[(rg.head+rg.n)%len(rg.buf)] = e
 	rg.n++
-	// Retention rule: at most cap sealed entries, trimmed oldest-whole-
+	// Retention rule: at most RingCap sealed entries, trimmed oldest-whole-
 	// instant first. Current-instant entries ride in the slack half.
-	for rg.sealed > cap {
+	for rg.sealed > RingCap {
 		rg.dropOldestInstant()
 	}
 }
@@ -220,8 +202,8 @@ func (rg *ring) dropOldestInstant() {
 // the whole-instant retention rule so the result does not depend on how
 // many at-instant events raced in before the trigger: the newest pre-at
 // instant B is kept whole, then older whole instants are kept newest-first
-// while the non-B total stays within cap - len(B).
-func (rg *ring) window(at time.Duration, cap int) []trace.Event {
+// while the non-B total stays within RingCap - len(B).
+func (rg *ring) window(at time.Duration) []trace.Event {
 	rg.mu.Lock()
 	pre := make([]entry, 0, rg.n)
 	for i := 0; i < rg.n; i++ {
@@ -239,7 +221,7 @@ func (rg *ring) window(at time.Duration, cap int) []trace.Event {
 	for i > 0 && pre[i-1].seen == b {
 		i--
 	}
-	budget := cap - (len(pre) - i)
+	budget := RingCap - (len(pre) - i)
 	j := i
 	for j > 0 {
 		t := pre[j-1].seen
@@ -273,7 +255,7 @@ func (r *Recorder) Snapshot(at time.Duration) []trace.Event {
 	r.rmu.RUnlock()
 	var out []trace.Event
 	for _, rg := range rings {
-		out = append(out, rg.window(at, r.opts.RingCap)...)
+		out = append(out, rg.window(at)...)
 	}
 	trace.Sort(out)
 	return out
@@ -291,14 +273,14 @@ func (r *Recorder) Trigger(trigger, detail string) Dump {
 	d := Dump{At: at, Trigger: trigger, Detail: detail}
 	r.dmu.Lock()
 	defer r.dmu.Unlock()
-	if len(r.dumps) >= r.opts.MaxDumps {
+	if len(r.dumps) >= MaxDumps {
 		r.skipped++
-		r.ctrs.Add(trace.Key("flightrec", "dump", "skip", ""), 1)
+		r.ctrs.Add("flightrec", "dump", "skip", "", 1)
 		return d
 	}
 	d.Events = r.Snapshot(at)
 	r.dumps = append(r.dumps, d)
-	r.ctrs.Add(trace.Key("flightrec", "dump", d.Kind(), ""), 1)
+	r.ctrs.Add("flightrec", "dump", d.Kind(), "", 1)
 	return d
 }
 

@@ -16,11 +16,11 @@ import (
 // category) at every whole second up to instants, then triggers a dump at
 // the final instant + 1s. Within each instant the real-time arrival order
 // of events is racy; the dump must not depend on it.
-func raceDump(t *testing.T, seed int64, procs, instants, ringCap int) []byte {
+func raceDump(t *testing.T, seed int64, procs, instants int) []byte {
 	t.Helper()
 	sim := vtime.NewSeeded(seed)
 	tr := trace.New(sim)
-	rec := New(sim, Options{RingCap: ringCap})
+	rec := New(sim, nil)
 	tr.SetTap(rec)
 	err := sim.Run("main", func() {
 		wg := vtime.NewWaitGroup(sim)
@@ -59,11 +59,16 @@ func raceDump(t *testing.T, seed int64, procs, instants, ringCap int) []byte {
 }
 
 func TestDumpDeterministicUnderInstantRaces(t *testing.T) {
-	// 8 procs per instant, ring of 16: every snapshot must trim older
-	// instants at whole-instant granularity, and two identical runs must
-	// serialize byte-identically despite racy same-instant arrival.
-	a := raceDump(t, 7, 8, 20, 16)
-	b := raceDump(t, 7, 8, 20, 16)
+	// 24 procs per instant over 30 instants overfills a RingCap ring: every
+	// snapshot must trim older instants at whole-instant granularity, and
+	// two identical runs must serialize byte-identically despite racy
+	// same-instant arrival.
+	const procs, instants = 24, 30
+	if procs*instants <= RingCap {
+		t.Fatalf("workload of %d events does not overfill RingCap %d", procs*instants, RingCap)
+	}
+	a := raceDump(t, 7, procs, instants)
+	b := raceDump(t, 7, procs, instants)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed dumps differ:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
@@ -71,13 +76,15 @@ func TestDumpDeterministicUnderInstantRaces(t *testing.T) {
 
 func TestWholeInstantRetention(t *testing.T) {
 	sim := vtime.NewSeeded(1)
-	rec := New(sim, Options{RingCap: 10})
+	rec := New(sim, nil)
+	// 12 events per instant over 50 instants: RingCap holds at most
+	// RingCap/12 whole instants; one more would exceed it.
+	const per, instants = 12, 50
+	kept := RingCap / per
 	err := sim.Run("main", func() {
-		// 4 events per instant over 10 instants: capacity 10 holds at most
-		// two whole instants (8 events); a third would make 12 > 10.
-		for i := 1; i <= 10; i++ {
+		for i := 1; i <= instants; i++ {
 			sim.SleepUntil(time.Duration(i) * time.Second)
-			for k := 0; k < 4; k++ {
+			for k := 0; k < per; k++ {
 				rec.Record(trace.Event{At: sim.Now(), Cat: "c", Name: fmt.Sprintf("e%d-%d", i, k)})
 			}
 		}
@@ -87,11 +94,11 @@ func TestWholeInstantRetention(t *testing.T) {
 		t.Fatalf("sim: %v", err)
 	}
 	events := rec.Snapshot(sim.Now())
-	if len(events) != 8 {
-		t.Fatalf("want 2 whole instants (8 events), got %d: %+v", len(events), events)
+	if len(events) != kept*per {
+		t.Fatalf("want %d whole instants (%d events), got %d", kept, kept*per, len(events))
 	}
 	for _, ev := range events {
-		if ev.At < 9*time.Second {
+		if ev.At < time.Duration(instants-kept+1)*time.Second {
 			t.Fatalf("stale instant survived: %+v", ev)
 		}
 	}
@@ -99,7 +106,7 @@ func TestWholeInstantRetention(t *testing.T) {
 
 func TestSnapshotExcludesTriggerInstant(t *testing.T) {
 	sim := vtime.NewSeeded(1)
-	rec := New(sim, Options{RingCap: 64})
+	rec := New(sim, nil)
 	err := sim.Run("main", func() {
 		sim.SleepUntil(time.Second)
 		rec.Record(trace.Event{At: sim.Now(), Cat: "c", Name: "before"})
@@ -118,7 +125,7 @@ func TestSnapshotExcludesTriggerInstant(t *testing.T) {
 
 func TestDumpRoundTrip(t *testing.T) {
 	sim := vtime.NewSeeded(1)
-	rec := New(sim, Options{})
+	rec := New(sim, nil)
 	err := sim.Run("main", func() {
 		sim.SleepUntil(time.Second)
 		rec.Record(trace.Event{At: sim.Now(), Cat: "broker", Name: "enqueue", Proc: "broker0",
@@ -181,13 +188,14 @@ func TestValidateRejects(t *testing.T) {
 func TestMaxDumpsAndCounters(t *testing.T) {
 	sim := vtime.NewSeeded(1)
 	ctrs := trace.NewCounters()
-	rec := New(sim, Options{MaxDumps: 2})
-	rec.SetCounters(ctrs)
-	rec.Trigger("slo:rule-a", "one")
-	rec.Trigger("orphan", "two")
-	rec.Trigger("orphan", "three")
-	if got := len(rec.Dumps()); got != 2 {
-		t.Fatalf("dumps: got %d want 2", got)
+	rec := New(sim, ctrs)
+	rec.Trigger("slo:rule-a", "first")
+	for i := 1; i < MaxDumps; i++ {
+		rec.Trigger("orphan", fmt.Sprintf("kept-%d", i))
+	}
+	rec.Trigger("orphan", "past-the-bound")
+	if got := len(rec.Dumps()); got != MaxDumps {
+		t.Fatalf("dumps: got %d want %d", got, MaxDumps)
 	}
 	if rec.Skipped() != 1 {
 		t.Fatalf("skipped: got %d want 1", rec.Skipped())
@@ -195,7 +203,7 @@ func TestMaxDumpsAndCounters(t *testing.T) {
 	if got := ctrs.Get("flightrec.dump.slo"); got != 1 {
 		t.Fatalf("slo dump counter: %d", got)
 	}
-	if got := ctrs.Get("flightrec.dump.orphan"); got != 1 {
+	if got := ctrs.Get("flightrec.dump.orphan"); got != MaxDumps-1 {
 		t.Fatalf("orphan dump counter: %d", got)
 	}
 	if got := ctrs.Get("flightrec.dump.skip"); got != 1 {
@@ -209,8 +217,7 @@ func TestMaxDumpsAndCounters(t *testing.T) {
 func TestSkippedTriggerTakesNoSnapshot(t *testing.T) {
 	sim := vtime.NewSeeded(1)
 	ctrs := trace.NewCounters()
-	rec := New(sim, Options{RingCap: 256, MaxDumps: 1})
-	rec.SetCounters(ctrs)
+	rec := New(sim, ctrs)
 	fill := func(events int) {
 		for i := 0; i < events; i++ {
 			rec.Record(trace.Event{At: sim.Now(), Cat: fmt.Sprintf("c%d", i%4), Name: "ev"})
@@ -224,13 +231,16 @@ func TestSkippedTriggerTakesNoSnapshot(t *testing.T) {
 		fill(8)
 		sim.SleepUntil(2 * time.Second)
 		kept = rec.Trigger("orphan", "kept")
+		for i := 1; i < MaxDumps; i++ {
+			rec.Trigger("orphan", "filler")
+		}
 		skip := func() {
 			if d := rec.Trigger("orphan", "skipped"); d.Events != nil {
 				snapshots++
 			}
 		}
 		small = testing.AllocsPerRun(100, skip)
-		fill(1024)
+		fill(4 * RingCap) // every one of the four rings at capacity
 		sim.SleepUntil(3 * time.Second)
 		full = testing.AllocsPerRun(100, skip)
 	})
@@ -246,8 +256,8 @@ func TestSkippedTriggerTakesNoSnapshot(t *testing.T) {
 	if full > small {
 		t.Fatalf("skipped trigger allocs grew with ring contents: %.1f -> %.1f", small, full)
 	}
-	if got := len(rec.Dumps()); got != 1 {
-		t.Fatalf("dumps: got %d want 1", got)
+	if got := len(rec.Dumps()); got != MaxDumps {
+		t.Fatalf("dumps: got %d want %d", got, MaxDumps)
 	}
 	// AllocsPerRun makes one warm-up call on top of each run's count.
 	const skips = 2 * 101
@@ -272,7 +282,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 // component's ring exists, Record never allocates.
 func TestRecordAllocs(t *testing.T) {
 	sim := vtime.NewSeeded(1)
-	rec := New(sim, Options{RingCap: 64})
+	rec := New(sim, nil)
 	ev := trace.Event{At: 0, Cat: "bench", Name: "ev", Proc: "p", Thr: "t"}
 	rec.Record(ev) // create the ring outside the measured region
 	if avg := testing.AllocsPerRun(1000, func() { rec.Record(ev) }); avg != 0 {
@@ -284,7 +294,7 @@ func TestRecordAllocs(t *testing.T) {
 // is 0 allocs/op.
 func BenchmarkRecord(b *testing.B) {
 	sim := vtime.NewSeeded(1)
-	rec := New(sim, Options{RingCap: 512})
+	rec := New(sim, nil)
 	ev := trace.Event{At: 0, Cat: "bench", Name: "ev", Proc: "p", Thr: "t",
 		Args: []trace.Arg{{Key: "k", Val: "v"}}}
 	rec.Record(ev)

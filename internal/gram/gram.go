@@ -151,7 +151,7 @@ func (s *Server) record(ctx trace.Ctx, actor, phase string, start, end time.Dura
 	}
 	// The same phase also lands in the trace stream, so the Figure 3
 	// breakdown is derivable from a trace without a dedicated Timeline.
-	s.host.Network().Tracer().SpanAtCtx(ctx.Child(trace.Seg(phase)), "gram", phase, s.host.Name(), actor, "", start, end)
+	s.host.Network().Obs().Tracer.SpanAtCtx(ctx.Child(trace.Seg(phase)), "gram", phase, s.host.Name(), actor, "", start, end)
 }
 
 // HandleCall implements rpc.Handler.
@@ -330,8 +330,8 @@ func (s *Server) handleSubmit(sc *rpc.ServerConn, body json.RawMessage) (any, er
 	s.jobs[contact] = job
 	s.mu.Unlock()
 
-	net := s.host.Network()
-	net.Counters().Add(trace.Key("gram", "job", "submit", s.host.Name()), 1)
+	o := s.host.Network().Obs()
+	o.Counters.Add("gram", "job", "submit", s.host.Name(), 1)
 
 	// Push every state transition back to the submitter as a callback,
 	// parented to the submit that created the job.
@@ -343,9 +343,9 @@ func (s *Server) handleSubmit(sc *rpc.ServerConn, body json.RawMessage) (any, er
 				return
 			}
 			reason := job.Reason()
-			net.Tracer().InstantCtx(jobCtx, "gram", "state:"+state.String(), s.host.Name(), contact, "",
+			o.Tracer.InstantCtx(jobCtx, "gram", "state:"+state.String(), s.host.Name(), contact, "",
 				trace.Arg{Key: "reason", Val: reason})
-			net.Counters().Add(trace.Key("gram", "state", state.String(), s.host.Name()), 1)
+			o.Counters.Add("gram", "state", state.String(), s.host.Name(), 1)
 			sc.NotifyCtx(jobCtx, "job-state", StateEvent{
 				Contact: contact,
 				State:   state,

@@ -9,13 +9,12 @@ import (
 	"io"
 	"time"
 
-	"cogrid/internal/flightrec"
 	"cogrid/internal/gram"
 	"cogrid/internal/gsi"
 	"cogrid/internal/lrm"
 	"cogrid/internal/metrics"
 	"cogrid/internal/nis"
-	"cogrid/internal/trace"
+	"cogrid/internal/obs"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
 )
@@ -39,9 +38,11 @@ type Options struct {
 	// RecordTimeline attaches a shared metrics.Timeline to every
 	// gatekeeper (for Figures 3 and 5).
 	RecordTimeline bool
-	// Trace attaches a trace.Tracer and trace.Counters to the network,
-	// capturing structured events from every layer (transport hops, RPC
-	// calls, GRAM state transitions, DUROC commit and barrier phases).
+	// Trace builds the full telemetry bundle (obs.New) and attaches it to
+	// the network, capturing structured events, counters, gauges,
+	// histograms, sample logs and flight-recorder rings from every layer
+	// (transport hops, RPC calls, GRAM state transitions, DUROC commit
+	// and barrier phases).
 	Trace bool
 	// TimerEngine selects the kernel's timer queue implementation. The
 	// zero value is the production default (hierarchical timing wheel);
@@ -50,9 +51,10 @@ type Options struct {
 	TimerEngine vtime.TimerEngine
 }
 
-// Grid is an assembled testbed.
+// Grid is an assembled testbed. Its embedded telemetry bundle always
+// carries Sim; the sinks are set only with Options.Trace.
 type Grid struct {
-	Sim         *vtime.Sim
+	obs.Sinks
 	Net         *transport.Network
 	Registry    *gsi.Registry
 	NISAddr     transport.Addr
@@ -60,12 +62,6 @@ type Grid struct {
 	Workstation *transport.Host
 	UserCred    gsi.Credential
 	Timeline    *metrics.Timeline
-	Tracer      *trace.Tracer
-	Counters    *trace.Counters
-	Gauges      *metrics.GaugeSet
-	Hists       *metrics.HistogramSet
-	Samples     *metrics.SampleLogSet
-	Flight      *flightrec.Recorder
 
 	opts     Options
 	machines map[string]*lrm.Machine
@@ -90,7 +86,7 @@ func New(opts Options) *Grid {
 	}
 	net := transport.New(sim, lm)
 	g := &Grid{
-		Sim:         sim,
+		Sinks:       obs.Sinks{Sim: sim},
 		Net:         net,
 		Registry:    gsi.NewRegistry(),
 		Workstation: net.AddHost("workstation"),
@@ -102,30 +98,8 @@ func New(opts Options) *Grid {
 		g.Timeline = metrics.NewTimeline(sim)
 	}
 	if opts.Trace {
-		g.Tracer = trace.New(sim)
-		g.Counters = trace.NewCounters()
-		g.Gauges = metrics.NewGaugeSet(sim)
-		g.Hists = metrics.NewHistogramSet()
-		g.Samples = metrics.NewSampleLogSet(sim)
-		g.Flight = flightrec.New(sim, flightrec.Options{})
-		g.Flight.SetCounters(g.Counters)
-		net.SetTracer(g.Tracer)
-		net.SetCounters(g.Counters)
-		net.SetGauges(g.Gauges)
-		net.SetHists(g.Hists)
-		net.SetSamples(g.Samples)
-		net.SetFlightRec(g.Flight)
-		// The flight recorder taps the tracer: every event any layer emits
-		// is mirrored into its bounded per-component ring, so the black box
-		// is always armed without any layer opting in.
-		g.Tracer.SetTap(g.Flight)
-		// Kernel probes: timer lead times and dispatch batch sizes land in
-		// the same registry as the layer histograms. Histogram recording is
-		// atomic-only, so it is safe under the kernel lock.
-		sim.SetStats(vtime.KernelStats{
-			TimerLead:     g.Hists.H("vtime.timer.lead"),
-			DispatchBatch: g.Hists.H("vtime.dispatch.batch"),
-		})
+		g.Sinks = obs.New(sim)
+		net.Attach(g.Sinks)
 	}
 	nisHost := net.AddHost("nis0")
 	srv, err := nis.NewServer(nisHost, opts.NISServiceTime)

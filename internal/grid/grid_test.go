@@ -1,12 +1,14 @@
 package grid_test
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"time"
 
 	"cogrid/internal/grid"
 	"cogrid/internal/lrm"
+	"cogrid/internal/trace"
 )
 
 func TestNewGridHasWorkstationAndNIS(t *testing.T) {
@@ -116,6 +118,41 @@ func TestTimelineRecordingOption(t *testing.T) {
 	}
 	if len(g.Timeline.Spans()) == 0 {
 		t.Fatal("no spans recorded")
+	}
+}
+
+// The Figure 3 breakdown is derivable from the trace alone: the gram spans
+// of a traced single-process request sum to the dedicated timeline's
+// per-phase totals. (The Figure 5 timeline is not; see DeriveTimeline.)
+func TestFigure3PhaseTotalsDerivableFromTrace(t *testing.T) {
+	g := grid.New(grid.Options{RecordTimeline: true, Trace: true})
+	g.AddMachine("origin", 64, lrm.Fork)
+	g.RegisterEverywhere("probe", func(p *lrm.Proc) error { return nil })
+	err := g.Sim.Run("client", func() {
+		c, err := g.Dial("origin")
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		defer c.Close()
+		if _, err := c.Submit(`&(executable=probe)(count=1)`); err != nil {
+			t.Errorf("Submit: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	want := map[string]time.Duration{
+		"authentication": 503 * time.Millisecond,
+		"initgroups":     700 * time.Millisecond,
+		"misc":           10 * time.Millisecond,
+		"fork":           time.Millisecond,
+	}
+	if got := g.Timeline.PhaseTotals(); !reflect.DeepEqual(got, want) {
+		t.Errorf("timeline phase totals = %v, want %v", got, want)
+	}
+	if got := trace.DeriveTimeline(g.Sim, g.Tracer.Events(), "gram").PhaseTotals(); !reflect.DeepEqual(got, want) {
+		t.Errorf("trace-derived phase totals = %v, want %v", got, want)
 	}
 }
 

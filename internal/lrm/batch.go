@@ -50,7 +50,7 @@ func (m *Machine) schedule() {
 		toLaunch = append(toLaunch, job)
 	}
 	// Backfill behind a blocked head. The scan is bounded: past
-	// m.backfill candidates the pass gives up and leaves the tail queued,
+	// backfillDepth candidates the pass gives up and leaves the tail queued,
 	// keeping each pass O(depth) instead of O(queue) — across a draining
 	// backlog that is the difference between linear and quadratic work.
 	if len(m.queue) > 1 {
@@ -59,7 +59,7 @@ func (m *Machine) schedule() {
 		avail := m.availableLocked()
 		kept := m.queue[:1]
 		for i, job := range m.queue[1:] {
-			if m.backfill >= 0 && i >= m.backfill {
+			if i >= backfillDepth {
 				kept = append(kept, m.queue[1+i:]...)
 				break
 			}

@@ -117,7 +117,6 @@ type Machine struct {
 	mode       Mode
 	costs      Costs
 	retire     bool
-	backfill   int
 
 	// Metric handles are resolved once, on the first launch, and cached:
 	// the registry lookup and the per-machine gauge-name concatenation used
@@ -146,11 +145,11 @@ type Machine struct {
 	nextResID    int
 }
 
-// defaultBackfillDepth bounds how many queued jobs one scheduling pass
+// backfillDepth bounds how many queued jobs one scheduling pass
 // considers for backfill behind a blocked head. An unbounded scan is
 // O(queue²) across a draining backlog, which a 10⁵-job queue cannot
 // afford; candidates past the window simply wait for a later pass.
-const defaultBackfillDepth = 256
+const backfillDepth = 256
 
 // Config carries optional machine settings.
 type Config struct {
@@ -161,10 +160,6 @@ type Config struct {
 	// proportional to live work rather than total history. Job() lookups
 	// for retired jobs return ErrNoSuchJob; Stats() keeps the counts.
 	RetireTerminal bool
-	// BackfillDepth overrides how many queued jobs behind a blocked head
-	// each scheduling pass considers for backfill. Zero means
-	// defaultBackfillDepth; negative means unbounded.
-	BackfillDepth int
 }
 
 // NewMachine creates a machine with the given processor count on host.
@@ -172,10 +167,6 @@ func NewMachine(host *transport.Host, processors int, cfg Config) *Machine {
 	costs := cfg.Costs
 	if costs == (Costs{}) {
 		costs = DefaultCosts
-	}
-	backfill := cfg.BackfillDepth
-	if backfill == 0 {
-		backfill = defaultBackfillDepth
 	}
 	return &Machine{
 		sim:          host.Network().Sim(),
@@ -185,7 +176,6 @@ func NewMachine(host *transport.Host, processors int, cfg Config) *Machine {
 		mode:         cfg.Mode,
 		costs:        costs,
 		retire:       cfg.RetireTerminal,
-		backfill:     backfill,
 		execs:        make(map[string]ExecFunc),
 		jobs:         make(map[string]*Job),
 		freeProcs:    processors,
@@ -198,10 +188,10 @@ func NewMachine(host *transport.Host, processors int, cfg Config) *Machine {
 // registries are nil-safe, so the cached handles may legitimately be nil.
 func (m *Machine) metricHandles() {
 	m.metricsOnce.Do(func() {
-		net := m.host.Network()
-		m.queueWait = net.Hists().H("lrm.queue.wait")
-		m.service = net.Hists().H("lrm.job.service")
-		m.busy = net.Gauges().G("lrm.busy@" + m.host.Name())
+		o := m.host.Network().Obs()
+		m.queueWait = o.Hists.H("lrm.queue.wait")
+		m.service = o.Hists.H("lrm.job.service")
+		m.busy = o.Gauges.G("lrm.busy@" + m.host.Name())
 	})
 }
 

@@ -191,7 +191,7 @@ func benchTraceExportJSONL(b *testing.B) {
 
 func benchFlightrecRecord(b *testing.B) {
 	sim := vtime.New()
-	rec := flightrec.New(sim, flightrec.Options{RingCap: 512})
+	rec := flightrec.New(sim, nil)
 	ev := trace.Event{
 		At: time.Millisecond, Cat: "rpc", Name: "call:submit",
 		Proc: "workstation", Thr: "client", Req: "req-1", Span: "/call",

@@ -106,7 +106,7 @@ func NewClientCodec(sim *vtime.Sim, conn *transport.Conn, codec Codec) *Client {
 		conn:          conn,
 		codec:         codec,
 		pending:       make(map[uint64]*vtime.Chan[wire.Envelope]),
-		hCall:         conn.Network().Hists().H("rpc.call.latency"),
+		hCall:         conn.Network().Obs().Hists.H("rpc.call.latency"),
 		notifications: vtime.NewChan[Notification](sim, "rpc-notify:"+conn.LocalAddr().String(), 256),
 	}
 	if codec == Binary {
@@ -144,6 +144,7 @@ func corrID(conn *transport.Conn, id uint64) string {
 }
 
 func (c *Client) demux() {
+	o := c.conn.Network().Obs()
 	for {
 		raw, err := c.conn.Recv()
 		if err != nil {
@@ -154,7 +155,7 @@ func (c *Client) demux() {
 		if c.dec.Decode(raw, &env) != nil {
 			// Malformed frame (truncated, corrupted, bad CRC): drop, but
 			// count the drop so codec trouble is visible.
-			c.conn.Network().Counters().Add(trace.Key("rpc", "frame", "decode-error", c.conn.LocalAddr().Host), 1)
+			o.Counters.Add("rpc", "frame", "decode-error", c.conn.LocalAddr().Host, 1)
 			continue
 		}
 		switch env.Kind {
@@ -171,14 +172,14 @@ func (c *Client) demux() {
 				// but it still appears in the trace, correlated with the
 				// timed-out call by ID.
 				host := c.conn.LocalAddr().Host
-				c.conn.Network().Tracer().InstantCtx(envCtx(&env), "rpc", "dropped-reply", host, c.conn.Flow(), corrID(c.conn, env.ID))
-				c.conn.Network().Counters().Add(trace.Key("rpc", "reply", "drop", host), 1)
+				o.Tracer.InstantCtx(envCtx(&env), "rpc", "dropped-reply", host, c.conn.Flow(), corrID(c.conn, env.ID))
+				o.Counters.Add("rpc", "reply", "drop", host, 1)
 			}
 		case wire.KindNotify:
 			c.notifications.TrySend(Notification{Method: env.Method, Body: env.Body, Ctx: envCtx(&env)})
 			host := c.conn.LocalAddr().Host
-			c.conn.Network().Tracer().InstantCtx(envCtx(&env), "rpc", "notify:"+env.Method, host, c.conn.Flow(), "")
-			c.conn.Network().Counters().Add(trace.Key("rpc", "notify", "recv", host), 1)
+			o.Tracer.InstantCtx(envCtx(&env), "rpc", "notify:"+env.Method, host, c.conn.Flow(), "")
+			o.Counters.Add("rpc", "notify", "recv", host, 1)
 		}
 	}
 }
@@ -233,7 +234,8 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 		ctx = c.conn.Ctx()
 	}
 	callCtx := ctx.Child("call:" + method + "#" + strconv.FormatUint(id, 10))
-	tr := c.conn.Network().Tracer()
+	o := c.conn.Network().Obs()
+	tr := o.Tracer
 	host := c.conn.LocalAddr().Host
 	start := tr.Now()
 	startV := c.sim.Now()
@@ -241,7 +243,7 @@ func (c *Client) CallCtx(ctx trace.Ctx, method string, arg, reply any, timeout t
 		c.hCall.Record(int64(c.sim.Now() - startV))
 		tr.SpanCtx(callCtx, "rpc", "call:"+method, host, c.conn.Flow(), corrID(c.conn, id), start,
 			trace.Arg{Key: "outcome", Val: outcome})
-		c.conn.Network().Counters().Add(trace.Key("rpc", "call", outcome, host), 1)
+		o.Counters.Add("rpc", "call", outcome, host, 1)
 	}
 
 	if err := c.send(wire.Envelope{ID: id, Kind: wire.KindCall, Method: method, Req: callCtx.Req, Span: callCtx.Span}, arg); err != nil {
@@ -373,8 +375,9 @@ func (sc *ServerConn) NotifyCtx(ctx trace.Ctx, method string, arg any) error {
 		return err
 	}
 	host := sc.conn.LocalAddr().Host
-	sc.conn.Network().Tracer().InstantCtx(ctx, "rpc", "notify:"+method, host, sc.conn.Flow(), "")
-	sc.conn.Network().Counters().Add(trace.Key("rpc", "notify", "send", host), 1)
+	o := sc.conn.Network().Obs()
+	o.Tracer.InstantCtx(ctx, "rpc", "notify:"+method, host, sc.conn.Flow(), "")
+	o.Counters.Add("rpc", "notify", "send", host, 1)
 	return nil
 }
 
@@ -476,9 +479,10 @@ func (s *Server) serveConn(conn *transport.Conn) {
 	if s.codec == Binary {
 		sendPrologue(&sc.enc, conn)
 	}
-	tr := conn.Network().Tracer()
+	o := conn.Network().Obs()
+	tr := o.Tracer
 	host := conn.LocalAddr().Host
-	hServe := conn.Network().Hists().H("rpc.serve.latency")
+	hServe := o.Hists.H("rpc.serve.latency")
 	var dec wire.Decoder
 	for {
 		raw, err := conn.Recv()
@@ -487,7 +491,7 @@ func (s *Server) serveConn(conn *transport.Conn) {
 		}
 		var env wire.Envelope
 		if dec.Decode(raw, &env) != nil {
-			conn.Network().Counters().Add(trace.Key("rpc", "frame", "decode-error", host), 1)
+			o.Counters.Add("rpc", "frame", "decode-error", host, 1)
 			continue
 		}
 		switch env.Kind {
@@ -523,7 +527,7 @@ func (s *Server) serveConn(conn *transport.Conn) {
 			}
 			tr.SpanCtx(serveCtx, "rpc", "serve:"+env.Method, host, conn.Flow(), corrID(conn, env.ID), serveStart,
 				trace.Arg{Key: "outcome", Val: outcome})
-			conn.Network().Counters().Add(trace.Key("rpc", "serve", outcome, host), 1)
+			o.Counters.Add("rpc", "serve", outcome, host, 1)
 			if sc.sendEnv(&reply, serveCtx) == ErrClosed {
 				return
 			}

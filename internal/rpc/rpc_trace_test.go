@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/obs"
 	"cogrid/internal/trace"
 	"cogrid/internal/transport"
 	"cogrid/internal/vtime"
@@ -16,8 +17,7 @@ func newTracedPair(t *testing.T) (*vtime.Sim, *trace.Tracer, *trace.Counters, *t
 	net := transport.New(sim, transport.UniformLatency(time.Millisecond))
 	tr := trace.New(sim)
 	ctrs := trace.NewCounters()
-	net.SetTracer(tr)
-	net.SetCounters(ctrs)
+	net.Attach(obs.Sinks{Tracer: tr, Counters: ctrs})
 	return sim, tr, ctrs, net.AddHost("a"), net.AddHost("b")
 }
 

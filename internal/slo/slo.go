@@ -29,8 +29,7 @@ import (
 	"sync"
 	"time"
 
-	"cogrid/internal/flightrec"
-	"cogrid/internal/metrics"
+	"cogrid/internal/obs"
 	"cogrid/internal/trace"
 	"cogrid/internal/vtime"
 )
@@ -124,17 +123,11 @@ func (o *Options) fill() {
 	}
 }
 
-// Deps wires the engine to a run's observability registries. Tracer,
-// Counters, Gauges and Flight may be nil (each output degrades to a
-// no-op); Samples may be nil only if no burn-rate rule is used.
-type Deps struct {
-	Sim      *vtime.Sim
-	Tracer   *trace.Tracer
-	Counters *trace.Counters
-	Gauges   *metrics.GaugeSet
-	Samples  *metrics.SampleLogSet
-	Flight   *flightrec.Recorder
-}
+// Deps wires the engine to a run's telemetry bundle. Sim is required.
+// Tracer, Counters, Gauges and Flight may be nil (each output degrades to
+// a no-op); Samples may be nil only if no burn-rate rule is used. The
+// engine does not read Hists.
+type Deps = obs.Sinks
 
 type ruleState struct {
 	active   bool
@@ -243,7 +236,7 @@ func (e *Engine) evalRule(i int, h time.Duration) {
 	}
 	al := Alert{At: h, Rule: r.Name, Severity: r.Severity, State: state, Value: value, Detail: detail}
 	e.alerts = append(e.alerts, al)
-	e.deps.Counters.Add(trace.Key("slo", "alert", state, r.Name), 1)
+	e.deps.Counters.Add("slo", "alert", state, r.Name, 1)
 	if breach {
 		e.deps.Gauges.G("slo.alerts.active").Add(1)
 	} else {

@@ -24,16 +24,16 @@ type rig struct {
 
 func newRig(seed int64) rig {
 	sim := vtime.NewSeeded(seed)
+	ctrs := trace.NewCounters()
 	r := rig{
 		sim:     sim,
 		tracer:  trace.New(sim),
-		ctrs:    trace.NewCounters(),
+		ctrs:    ctrs,
 		gauges:  metrics.NewGaugeSet(sim),
 		samples: metrics.NewSampleLogSet(sim),
-		flight:  flightrec.New(sim, flightrec.Options{}),
+		flight:  flightrec.New(sim, ctrs),
 	}
 	r.tracer.SetTap(r.flight)
-	r.flight.SetCounters(r.ctrs)
 	return r
 }
 

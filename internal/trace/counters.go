@@ -77,12 +77,14 @@ func (c *Counters) C(name string) *Counter {
 	return h
 }
 
-// Add increments the named counter, creating it on first use. Nil-safe.
-func (c *Counters) Add(name string, delta int64) {
+// Add increments the counter named Key(layer, object, verb, scope),
+// creating it on first use. Nil-safe: on a nil registry the name is never
+// built, so an unattached increment allocates nothing.
+func (c *Counters) Add(layer, object, verb, scope string, delta int64) {
 	if c == nil {
 		return
 	}
-	c.C(name).Add(delta)
+	c.C(Key(layer, object, verb, scope)).Add(delta)
 }
 
 // Get returns the named counter's value, or 0 if it was never incremented.

@@ -317,12 +317,14 @@ func argMap(args []Arg) map[string]string {
 // itoa formats small integers for Args and span segments.
 func itoa(n int) string { return strconv.Itoa(n) }
 
-// DeriveTimeline reconstructs a metrics.Timeline from span events,
-// demonstrating that the legacy phase-timeline view is a projection of the
-// trace stream: each span event becomes a timeline span with Actor = Thr
-// and Phase = Name. When cats is non-empty only those categories are
-// included (e.g. "gram", "duroc" reproduces the Figure 5 submission
-// timeline without transport noise).
+// DeriveTimeline reconstructs a metrics.Timeline from span events: each
+// span event becomes a timeline span with Actor = Thr and Phase = Name.
+// When cats is non-empty only those categories are included. Events with
+// Dur == 0 are instants in the trace schema and are skipped, so a
+// zero-length phase never reappears. DeriveTimeline(…, "gram") reproduces
+// the Figure 3 per-phase totals of a dedicated timeline exactly; adding
+// "duroc" does not reproduce Figure 5, because that category also holds
+// the commit span and its zero-length barrier spans are dropped.
 func DeriveTimeline(sim *vtime.Sim, events []Event, cats ...string) *metrics.Timeline {
 	want := map[string]bool{}
 	for _, c := range cats {

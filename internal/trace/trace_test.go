@@ -24,7 +24,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Instant("c", "n", "p", "t", "")
 	tr.Span("c", "n", "p", "t", "", 0)
 	tr.SpanAt("c", "n", "p", "t", "", 0, time.Second)
-	tr.Add("actor", "phase", 0, time.Second)
 	if tr.Len() != 0 {
 		t.Error("nil tracer Len() != 0")
 	}
@@ -41,7 +40,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 
 func TestNilCountersAreNoOp(t *testing.T) {
 	var cs *Counters
-	cs.Add("x", 1)
+	cs.Add("x", "y", "z", "", 1)
 	if cs.C("x") != nil {
 		t.Error("nil Counters.C != nil")
 	}
@@ -110,7 +109,7 @@ func TestCountersConcurrent(t *testing.T) {
 			h := cs.C("shared")
 			for i := 0; i < 1000; i++ {
 				h.Add(1)
-				cs.Add("registry", 1)
+				cs.Add("test", "registry", "add", "", 1)
 			}
 		}()
 	}
@@ -118,7 +117,7 @@ func TestCountersConcurrent(t *testing.T) {
 	if got := cs.Get("shared"); got != 8000 {
 		t.Errorf("shared = %d, want 8000", got)
 	}
-	if got := cs.Get("registry"); got != 8000 {
+	if got := cs.Get("test.registry.add"); got != 8000 {
 		t.Errorf("registry = %d, want 8000", got)
 	}
 }
@@ -232,14 +231,15 @@ func TestExportByteDeterminism(t *testing.T) {
 	}
 }
 
-// A Tracer satisfies gram.PhaseRecorder via Add, and DeriveTimeline projects
-// span events back into a metrics.Timeline equivalent to direct recording.
+// DeriveTimeline projects span events back into a metrics.Timeline
+// equivalent to direct recording: the thread track becomes the actor and
+// the event name the phase.
 func TestPhaseRecorderAndDeriveTimeline(t *testing.T) {
 	sim := vtime.New()
 	tr := New(sim)
-	tr.Add("gram", "authentication", 0, 500*time.Millisecond)
-	tr.Add("sj1", "submit", 500*time.Millisecond, 700*time.Millisecond)
-	tl := DeriveTimeline(sim, tr.Events(), "phase")
+	tr.SpanAt("gram", "authentication", "m1", "gram", "", 0, 500*time.Millisecond)
+	tr.SpanAt("gram", "submit", "m1", "sj1", "", 500*time.Millisecond, 700*time.Millisecond)
+	tl := DeriveTimeline(sim, tr.Events(), "gram")
 	spans := tl.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("derived spans = %d, want 2", len(spans))
@@ -250,9 +250,11 @@ func TestPhaseRecorderAndDeriveTimeline(t *testing.T) {
 	if spans[1].Actor != "sj1" || spans[1].Phase != "submit" {
 		t.Errorf("span 1 = %+v", spans[1])
 	}
-	// Category filter excludes everything else.
-	tr.Instant("other", "noise", "p", "t", "")
-	if got := len(DeriveTimeline(sim, tr.Events(), "phase").Spans()); got != 2 {
+	// The category filter excludes other spans, and a zero-length span is
+	// an instant in the trace schema, so it never becomes a timeline span.
+	tr.SpanAt("other", "noise", "p", "t", "", 0, time.Second)
+	tr.SpanAt("gram", "barrier", "m1", "sj1", "", time.Second, time.Second)
+	if got := len(DeriveTimeline(sim, tr.Events(), "gram").Spans()); got != 2 {
 		t.Errorf("filtered spans = %d, want 2", got)
 	}
 }

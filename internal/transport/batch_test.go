@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/obs"
 	"cogrid/internal/trace"
 	"cogrid/internal/vtime"
 )
@@ -16,7 +17,7 @@ import (
 func TestSendqFullDropAccounting(t *testing.T) {
 	sim, net, a, b := testNet(t)
 	ctrs := trace.NewCounters()
-	net.SetCounters(ctrs)
+	net.Attach(obs.Sinks{Counters: ctrs})
 	l, err := b.Listen("svc")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)

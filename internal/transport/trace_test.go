@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cogrid/internal/obs"
 	"cogrid/internal/trace"
 )
 
@@ -27,8 +28,7 @@ func TestPerConnCountersUnderDrops(t *testing.T) {
 	sim, net, a, b := testNet(t)
 	tr := trace.New(sim)
 	ctrs := trace.NewCounters()
-	net.SetTracer(tr)
-	net.SetCounters(ctrs)
+	net.Attach(obs.Sinks{Tracer: tr, Counters: ctrs})
 
 	l, err := b.Listen("svc")
 	if err != nil {
@@ -117,5 +117,20 @@ func TestPerConnCountersUnderDrops(t *testing.T) {
 	}
 	if reasons["unreachable"] != 1 || reasons["in-flight"] != 1 {
 		t.Errorf("drop reasons = %v, want one unreachable and one in-flight", reasons)
+	}
+}
+
+// An unattached network hands out a zero telemetry bundle, and a counter
+// increment through it builds no counter name: it allocates nothing.
+func TestUnattachedCounterAddAllocatesNothing(t *testing.T) {
+	_, net, a, _ := testNet(t)
+	if o := net.Obs(); o == nil || *o != (obs.Sinks{}) {
+		t.Fatalf("unattached Obs() = %+v, want a zero bundle", o)
+	}
+	host := a.Name()
+	if n := testing.AllocsPerRun(100, func() {
+		net.Obs().Counters.Add("transport", "msgs", "send", host, 1)
+	}); n != 0 {
+		t.Fatalf("unattached counter increment allocates %.1f times per call, want 0", n)
 	}
 }

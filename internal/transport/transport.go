@@ -19,8 +19,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cogrid/internal/flightrec"
 	"cogrid/internal/metrics"
+	"cogrid/internal/obs"
 	"cogrid/internal/trace"
 	"cogrid/internal/vtime"
 )
@@ -173,22 +173,19 @@ type Network struct {
 	msgs  atomic.Int64
 	bytes atomic.Int64
 
-	tracer   atomic.Pointer[trace.Tracer]
-	counters atomic.Pointer[trace.Counters]
-	gauges   atomic.Pointer[metrics.GaugeSet]
-	hists    atomic.Pointer[metrics.HistogramSet]
-	samples  atomic.Pointer[metrics.SampleLogSet]
-	flight   atomic.Pointer[flightrec.Recorder]
+	obs atomic.Pointer[obs.Sinks] // never nil
 }
 
 // New creates a network on sim with the given latency model.
 func New(sim *vtime.Sim, latency LatencyModel) *Network {
-	return &Network{
+	n := &Network{
 		sim:        sim,
 		latency:    latency,
 		hosts:      make(map[string]*Host),
 		partitions: make(map[[2]string]bool),
 	}
+	n.obs.Store(&obs.Sinks{})
+	return n
 }
 
 // Sim returns the kernel the network runs on.
@@ -200,60 +197,18 @@ func (n *Network) Messages() int64 { return n.msgs.Load() }
 // Bytes returns the total payload bytes sent.
 func (n *Network) Bytes() int64 { return n.bytes.Load() }
 
-// SetTracer attaches a tracer to the network. Every layer above (rpc, gram,
-// duroc) reads the tracer from here, so one attachment instruments the
-// whole stack. A nil tracer (the default) disables tracing.
-func (n *Network) SetTracer(t *trace.Tracer) { n.tracer.Store(t) }
+// Attach installs the run's telemetry bundle. Every layer above (rpc,
+// gram, lrm, duroc, broker, federation) reads it through Obs, so one
+// attachment instruments the whole stack. Attach during setup, before
+// building those layers: the DUROC controller, broker and federation read
+// the bundle once, when they are built. Sinks left nil stay disabled;
+// without any attachment every sink is nil and telemetry costs nothing
+// beyond a nil check.
+func (n *Network) Attach(s obs.Sinks) { n.obs.Store(&s) }
 
-// Tracer returns the attached tracer, or nil (which is itself a valid
-// no-op tracer).
-func (n *Network) Tracer() *trace.Tracer { return n.tracer.Load() }
-
-// SetCounters attaches a counter registry. With a registry attached the
-// network maintains per-host and per-connection message, byte, and drop
-// counters; without one those paths cost nothing.
-func (n *Network) SetCounters(c *trace.Counters) { n.counters.Store(c) }
-
-// Counters returns the attached registry, or nil.
-func (n *Network) Counters() *trace.Counters { return n.counters.Load() }
-
-// SetGauges attaches a gauge registry. Layers above read it from here (as
-// with Tracer and Counters) to record virtual-time level indicators such
-// as queue depth and busy processors. A nil set (the default) disables
-// gauges.
-func (n *Network) SetGauges(g *metrics.GaugeSet) { n.gauges.Store(g) }
-
-// Gauges returns the attached gauge registry, or nil (which is itself a
-// valid no-op registry).
-func (n *Network) Gauges() *metrics.GaugeSet { return n.gauges.Load() }
-
-// SetHists attaches a histogram registry. As with Tracer/Counters/Gauges,
-// every layer above reads it from here, so one attachment threads latency
-// histograms through the whole stack. A nil set (the default) disables
-// them; recording into a nil histogram is a no-op.
-func (n *Network) SetHists(h *metrics.HistogramSet) { n.hists.Store(h) }
-
-// Hists returns the attached histogram registry, or nil (which is itself a
-// valid no-op registry).
-func (n *Network) Hists() *metrics.HistogramSet { return n.hists.Load() }
-
-// SetSamples attaches a sample-log registry: timestamped observation
-// streams the SLO engine queries over sliding windows. As with the other
-// registries, layers above read it from here. Nil disables it.
-func (n *Network) SetSamples(s *metrics.SampleLogSet) { n.samples.Store(s) }
-
-// Samples returns the attached sample-log registry, or nil (which is
-// itself a valid no-op registry).
-func (n *Network) Samples() *metrics.SampleLogSet { return n.samples.Load() }
-
-// SetFlightRec attaches the flight recorder so any layer can freeze the
-// black box at a trigger point (watchdog abort, orphan record, replica
-// crash). Nil (the default) disables triggers.
-func (n *Network) SetFlightRec(r *flightrec.Recorder) { n.flight.Store(r) }
-
-// FlightRec returns the attached flight recorder, or nil (which is itself
-// a valid no-op recorder).
-func (n *Network) FlightRec() *flightrec.Recorder { return n.flight.Load() }
+// Obs returns the attached telemetry bundle: never nil, and a zero bundle
+// until Attach is called. The bundle is shared; do not modify it.
+func (n *Network) Obs() *obs.Sinks { return n.obs.Load() }
 
 // AddHost registers a host by name. Adding an existing name returns the
 // existing host.
@@ -439,6 +394,7 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 	}
 	n.mu.Unlock()
 
+	tr := n.Obs().Tracer
 	oneWay := n.latency.Latency(h.name, to.Host)
 	dialStart := n.sim.Now()
 	// SYN retransmission: an unreachable peer (partition, crash, hang)
@@ -449,7 +405,7 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 	for !n.deliverable(h.name, to.Host) {
 		remaining := deadline - n.sim.Now()
 		if remaining <= 0 {
-			n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
+			tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
 				trace.Arg{Key: "outcome", Val: "timeout"})
 			return nil, ErrDialTimeout
 		}
@@ -468,7 +424,7 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 	// swept host — they would never be closed by a later failure.
 	if h.state != hostUp {
 		n.mu.Unlock()
-		n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
+		tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
 			trace.Arg{Key: "outcome", Val: "local-down"})
 		return nil, ErrHostDown
 	}
@@ -488,18 +444,18 @@ func (h *Host) DialCtx(to Addr, ctx trace.Ctx) (*Conn, error) {
 
 	n.sim.Sleep(oneWay) // SYN-ACK
 	if refused {
-		n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
+		tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
 			trace.Arg{Key: "outcome", Val: "refused"})
 		return nil, ErrRefused
 	}
 	if !l.accept.TrySend(server) {
 		// Accept backlog full: refuse.
 		client.Close()
-		n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
+		tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), "", dialStart,
 			trace.Arg{Key: "outcome", Val: "backlog-full"})
 		return nil, ErrRefused
 	}
-	n.Tracer().SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), client.flow, dialStart,
+	tr.SpanCtx(ctx.Child("dial"), "transport", "dial", h.name, to.String(), client.flow, dialStart,
 		trace.Arg{Key: "outcome", Val: "ok"})
 	return client, nil
 }
@@ -604,7 +560,7 @@ type Conn struct {
 func (c *Conn) Flow() string { return c.flow }
 
 // Network returns the network the connection runs on. Layers above use it
-// to reach the attached Tracer and Counters.
+// to reach the attached telemetry bundle (Network.Obs).
 func (c *Conn) Network() *Network { return c.net }
 
 // Ctx returns the base causal context the connection was dialed under
@@ -629,7 +585,8 @@ func newConnPair(n *Network, clientAddr, serverAddr Addr, ctx trace.Ctx) (client
 		h.Write([]byte(ctx.Span))
 		flow += "~" + strconv.FormatUint(uint64(h.Sum32()), 16)
 	}
-	ctrs := n.Counters()
+	o := n.Obs()
+	ctrs := o.Counters
 	mk := func(local, remote Addr) *Conn {
 		tag := local.String() + "->" + remote.String()
 		n.connSeq++
@@ -655,7 +612,7 @@ func newConnPair(n *Network, clientAddr, serverAddr Addr, ctx trace.Ctx) (client
 			c.cRecvBytes = ctrs.C(trace.Key("transport", "conn", "recvbytes", c.dirFlow))
 			c.cDrop = ctrs.C(trace.Key("transport", "conn", "drop", c.dirFlow))
 		}
-		if hs := n.Hists(); hs != nil {
+		if hs := o.Hists; hs != nil {
 			c.hBytes = hs.H("transport.msg.bytes")
 			c.hDelay = hs.H("transport.msg.delay")
 			if c.batch.enabled() {
@@ -720,11 +677,10 @@ func (c *Conn) deliver(payload []byte, sentAt time.Duration, ctx trace.Ctx, deli
 	c.hDelay.Record(int64(c.net.sim.Now() - sentAt))
 	c.peer.cRecv.Add(1)
 	c.peer.cRecvBytes.Add(int64(len(payload)))
-	if ctrs := c.net.Counters(); ctrs != nil {
-		ctrs.Add(trace.Key("transport", "msgs", "recv", c.remote.Host), 1)
-		ctrs.Add(trace.Key("transport", "bytes", "recv", c.remote.Host), int64(len(payload)))
-	}
-	c.net.Tracer().InstantCtx(ctx, "transport", "recv", c.remote.Host, c.peer.dirFlow, c.flow,
+	o := c.net.Obs()
+	o.Counters.Add("transport", "msgs", "recv", c.remote.Host, 1)
+	o.Counters.Add("transport", "bytes", "recv", c.remote.Host, int64(len(payload)))
+	o.Tracer.InstantCtx(ctx, "transport", "recv", c.remote.Host, c.peer.dirFlow, c.flow,
 		trace.Arg{Key: "bytes", Val: strconv.Itoa(len(payload))})
 }
 
@@ -736,14 +692,13 @@ func (c *Conn) deliver(payload []byte, sentAt time.Duration, ctx trace.Ctx, deli
 // tearing down is a normal shutdown race, not wire loss.
 func (c *Conn) dropped(size int, reason string, ctx trace.Ctx) {
 	c.cDrop.Add(1)
-	if ctrs := c.net.Counters(); ctrs != nil {
-		ctrs.Add(trace.Key("transport", "msgs", "drop", c.local.Host), 1)
-		ctrs.Add(trace.Key("transport", "drop", reason, c.local.Host), 1)
-	}
+	o := c.net.Obs()
+	o.Counters.Add("transport", "msgs", "drop", c.local.Host, 1)
+	o.Counters.Add("transport", "drop", reason, c.local.Host, 1)
 	if reason != "conn-closed" {
-		c.net.Gauges().G("transport.drops").Add(1)
+		o.Gauges.G("transport.drops").Add(1)
 	}
-	c.net.Tracer().InstantCtx(ctx, "transport", "drop", c.local.Host, c.dirFlow, c.flow,
+	o.Tracer.InstantCtx(ctx, "transport", "drop", c.local.Host, c.dirFlow, c.flow,
 		trace.Arg{Key: "bytes", Val: strconv.Itoa(size)},
 		trace.Arg{Key: "reason", Val: reason})
 }
@@ -789,10 +744,9 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 	n.bytes.Add(int64(len(payload)))
 	c.cSend.Add(1)
 	c.cSendBytes.Add(int64(len(payload)))
-	if ctrs := n.Counters(); ctrs != nil {
-		ctrs.Add(trace.Key("transport", "msgs", "send", c.local.Host), 1)
-		ctrs.Add(trace.Key("transport", "bytes", "send", c.local.Host), int64(len(payload)))
-	}
+	o := n.Obs()
+	o.Counters.Add("transport", "msgs", "send", c.local.Host, 1)
+	o.Counters.Add("transport", "bytes", "send", c.local.Host, int64(len(payload)))
 	c.hBytes.Record(int64(len(payload)))
 	now := n.sim.Now()
 	oneWay := n.latency.Latency(c.local.Host, c.remote.Host)
@@ -803,7 +757,7 @@ func (c *Conn) SendCtx(payload []byte, ctx trace.Ctx) error {
 		return nil
 	}
 	// One hop span per send, covering the wire time to the peer.
-	c.net.Tracer().SpanAtCtx(ctx.Child("hop"), "transport", "hop", c.local.Host, c.dirFlow, c.flow, now, now+oneWay,
+	o.Tracer.SpanAtCtx(ctx.Child("hop"), "transport", "hop", c.local.Host, c.dirFlow, c.flow, now, now+oneWay,
 		trace.Arg{Key: "bytes", Val: strconv.Itoa(len(payload))},
 		trace.Arg{Key: "to", Val: c.remote.String()})
 	if !c.enqueue(outMsg{payload: buf, sentAt: now, deliverAt: now + oneWay, ctx: ctx}) {
@@ -881,8 +835,9 @@ func (c *Conn) flushLocked() {
 	// One hop span per coalesced message, from its send time to the
 	// batch's delivery time: the span length includes the coalescing wait,
 	// so traces show the latency cost of batching, not just the wire time.
+	tr := n.Obs().Tracer
 	for _, p := range batch {
-		c.net.Tracer().SpanAtCtx(p.ctx.Child("hop"), "transport", "hop", c.local.Host, c.dirFlow, c.flow, p.sentAt, now+oneWay,
+		tr.SpanAtCtx(p.ctx.Child("hop"), "transport", "hop", c.local.Host, c.dirFlow, c.flow, p.sentAt, now+oneWay,
 			trace.Arg{Key: "bytes", Val: strconv.Itoa(len(p.payload))},
 			trace.Arg{Key: "to", Val: c.remote.String()})
 	}
